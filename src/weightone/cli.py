@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dimension, qseries, umbral, vanishing
-from .dimension import BACKENDS, BudgetExceeded
+from .dimension import BACKENDS, DEFAULT_BUDGET, BudgetExceeded
 from .rademacher import RademacherParams, cauchy_table, truncated_sum
 from .umbral import DataIntegrityError
 
@@ -88,9 +87,22 @@ def _emit(obj, fmt: str):
             print("  ".join(f"{k}={_fmt(v)}" for k, v in sorted(r.items())))
 
 
+def _parse_order(text: str) -> Fraction:
+    try:
+        order = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"order {text!r} has a zero denominator") from None
+    if order <= 0:
+        raise ValueError("order must be positive")
+    return order
+
+
 def _cmd_qexp(args) -> int:
-    order = Fraction(args.order)
+    order = _parse_order(args.order)
     name = args.name
+    index = int(name[8:].split(",")[0]) if name.startswith("S_unary(") else args.m
+    if index is not None and index < 1:
+        raise ValueError("index m must be positive")
     if name == "theta":
         if args.m is None or args.r is None:
             raise ValueError("theta requires --m and --r")
@@ -113,12 +125,10 @@ def _cmd_qexp(args) -> int:
 
 def _cmd_dim(args) -> int:
     aux = args.M if args.M is not None else dimension.default_aux(args.m, args.N)
-    t0 = time.time()
     value = dimension.dim_j1(args.m, args.N, aux, backend=args.backend,
                              budget=args.budget)
     _emit({"m": args.m, "N": args.N, "M": aux, "method": "inner-product-formula",
-           "value": value, "backend": args.backend,
-           "elapsed": time.time() - t0}, args.format)
+           "value": value, "backend": args.backend}, args.format)
     return 0
 
 
@@ -135,11 +145,10 @@ def _cmd_vanish(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = umbral.load_dataset(args.data_dir)
-    rows = dimension.umbral_sweep(dataset, budget=args.budget or 10_000_000)
+    rows = dimension.umbral_sweep(dataset, budget=args.budget)
     out = [{"root_system": r.root_system, "class": r.class_name, "m": r.m,
             "N": r.level, "method": r.method, "value": r.value,
-            "vanishes": r.vanishes, "exceptional": r.exceptional,
-            "elapsed": r.elapsed} for r in rows]
+            "vanishes": r.vanishes, "exceptional": r.exceptional} for r in rows]
     _emit(out, args.format)
     return 0
 
@@ -188,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "csv", "text"), default="json")
     ap.add_argument("--data-dir", default=os.environ.get("WEIGHTONE_DATA"),
                     help="override the bundled data directory")
-    ap.add_argument("--budget", type=int, default=None,
-                    help="element-count ceiling for sweeps")
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="estimated element-count ceiling for dim and sweep")
     ap.add_argument("--precision", type=float, default=1e-6,
                     help="certified error budget for floating backends")
     ap.add_argument("--parallel", type=int, default=1,

@@ -25,7 +25,6 @@ for the exact one) or the query fails loudly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +40,7 @@ from .weil import (CharacterHandle, QuadSpace, evaluate_character,
 
 BACKENDS = ("exact", "float", "crt-float")
 FLOAT_TOL = 1e-6
+DEFAULT_BUDGET = 10_000_000  # estimated elements; the CLI's ceiling for dim and sweep
 
 
 class BudgetExceeded(RuntimeError):
@@ -414,10 +414,9 @@ class SweepRow:
     exceptional: bool
     aux: int | None = None
     estimated: int | None = None
-    elapsed: float | None = None
 
 
-def umbral_sweep(dataset, budget: int = 10_000_000) -> list[SweepRow]:
+def umbral_sweep(dataset, budget: int = DEFAULT_BUDGET) -> list[SweepRow]:
     """Settle vanishing of J_{1,m}(N_g) for every bundled class record.
 
     Tries the syntactic hypotheses, then the exponent criterion, then the
@@ -430,28 +429,25 @@ def umbral_sweep(dataset, budget: int = 10_000_000) -> list[SweepRow]:
     rows = []
     for rec in dataset.class_records:
         m, level = rec.coxeter, rec.level
-        t0 = time.time()
         if lemma_hypotheses(m, level):
             rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
-                                 "lemma", None, True, rec.exceptional,
-                                 elapsed=time.time() - t0))
+                                 "lemma", None, True, rec.exceptional))
             continue
         aux = default_aux(m, level)
         outcome = exponent_criterion(m, aux)
         if outcome.vanishes:
             rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
-                                 "exponent", None, True, rec.exceptional, aux=aux,
-                                 elapsed=time.time() - t0))
+                                 "exponent", None, True, rec.exceptional, aux=aux))
             continue
         query = DimQuery(m, level, aux, "crt-float")
         est = estimated_cost(query)
         if est > budget:
             rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
                                  "skipped", None, None, rec.exceptional, aux=aux,
-                                 estimated=est, elapsed=time.time() - t0))
+                                 estimated=est))
             continue
         value = dim_j1(m, level, aux, backend="crt-float")
         rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
                              "dimension", value, value == 0, rec.exceptional,
-                             aux=aux, estimated=est, elapsed=time.time() - t0))
+                             aux=aux, estimated=est))
     return rows

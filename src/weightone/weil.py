@@ -12,7 +12,19 @@ the local level, even tables by the matrix modulo 4*m2 together with the lift
 class of the word (the two lifts of a matrix differ by the central S^4, which
 acts as -1 on every D-type space).
 
-Table values are algebraic integers.  Even-space entries are produced by
+Only the base space of each (kind, m), the one with a = 1, is built
+exactly.  Every twist a that is a unit mod the conductor is its Galois
+conjugate: sigma_A = G/sqrt|A| with G = sum_x e(-Q(x)), so the S matrix is
+(G/|A|) e(-B(x, y)) and T is diag e(Q(x)), and every generator entry lies in
+Q(zeta_conductor).  The automorphism e(1/conductor) -> e(a/conductor) maps
+the generators of the base to those of the twist, hence every word, trace
+and P-minus trace as well.  A twisted table is the base table with
+coordinate j moved to a*j mod L (a extended to a unit mod the ambient order
+L) and reduced mod Phi_L again, in integers.
+
+Table values are algebraic integers.  Odd base tables reduce the exact BFS
+traces mod Phi_L in one integer product and certify that each coordinate is
+divisible by the common denominator.  Even-space entries are produced by
 evaluating the word at all complex embeddings of the (2-power) ambient field
 and snapping the recovered integer coordinates; the recovery matrix is a
 scaled isometry there, and any coordinate further than 1e-6 from an integer
@@ -242,14 +254,36 @@ def lift_class(word: Sl2Word) -> int:
 # Trace tables
 # ---------------------------------------------------------------------------
 
-def _canonical_int_vector(x: CycNumber, L: int) -> np.ndarray:
-    """Reduce mod Phi_L and certify integrality (values are algebraic integers)."""
-    red = x.promoted(L).canonical()
-    out = np.zeros(L, dtype=np.int64)
-    for j, c in enumerate(red):
-        if c.denominator != 1:
-            raise AssertionError("trace value is not an algebraic integer")
-        out[j] = int(c)
+def _int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over int64, refusing operands whose product could overflow."""
+    ma = int(np.abs(a).max(initial=1))
+    mb = int(np.abs(b).max(initial=1))
+    if ma * mb * a.shape[-1] >= (1 << 62):
+        raise OverflowError("exact trace reduction would overflow int64")
+    return a @ b
+
+
+def _reduce_traces(raw: np.ndarray, den: np.ndarray, L: int) -> np.ndarray:
+    """Rows raw[k] / den[k] in the length-L power basis, reduced mod Phi_L.
+
+    Values are algebraic integers, so every reduced coordinate must be
+    divisible by its row's denominator; anything else is a hard error.  The
+    result is padded back to length L.
+    """
+    red = _int_product(raw, cyc._phi_reduction_matrix(L))
+    if np.any(red % den[:, None]):
+        raise AssertionError("trace value is not an algebraic integer")
+    out = np.zeros(raw.shape, dtype=np.int64)
+    out[:, :red.shape[1]] = red // den[:, None]
+    return out
+
+
+def _twist_rows(rows: np.ndarray, galois: int, L: int) -> np.ndarray:
+    """Apply e(j/L) -> e(galois*j/L) to integer coordinate rows, reduced mod Phi_L."""
+    red = cyc._phi_reduction_matrix(L)
+    moved = red[(galois * np.arange(L)) % L]  # row j: e(galois*j/L) in the reduced basis
+    out = np.zeros(rows.shape, dtype=np.int64)
+    out[..., :red.shape[1]] = _int_product(rows, moved)
     return out
 
 
@@ -258,45 +292,81 @@ class TraceTable:
 
     F is the plain trace and G the P-minus-twisted trace; both are stored as
     integer coordinate vectors in the ambient cyclotomic field.
+
+    Exact values are built once per (kind, m), for the base space with a = 1.
+    A space whose a is a unit mod the conductor takes the Galois conjugate of
+    the base table under e(1/conductor) -> e(a/conductor) (exact, see the
+    module docstring) and builds no Weil representation of its own: odd
+    tables are twisted whole, even entries per key on a lookup miss.  Any
+    other a builds directly, which rejects a degenerate space.
     """
 
     def __init__(self, space: QuadSpace):
         self.space = space
-        self.rep = get_weil_rep(space)
-        self.order = self.rep.order
+        self.order = space.ambient_order
         self._table: dict = {}
         self._complex: dict = {}
+        base = QuadSpace(space.kind, space.m)
+        self._base = self.rep = None
+        if space != base and gcd(space.a, space.conductor) == 1:
+            self._base = get_trace_table(base)
+            self._galois = _extend_galois(space.a, space.conductor, self.order)
+        else:
+            self.rep = get_weil_rep(space)
         if space.kind == "L" and space.m > 1:
-            self._build_odd_table()
+            if self._base is None:
+                self._build_odd_table()
+            else:
+                self._twist_odd_table()
 
     # -- odd spaces: bulk exact BFS over SL2(Z/m) -------------------------------
 
     def _build_odd_table(self):
         m = self.space.m
+        n = self.space.size
         rep = self.rep
-        t_gen, s_gen = rep.generators()
+        cols = np.arange(n)
+        keys, f_raw, g_raw, dens = [], [], [], []
+
+        def record(g: Sl2Mod, mat: ExactCycMatrix):
+            keys.append(g.mat())
+            f_raw.append(mat.num.diagonal().sum(axis=-1))
+            g_raw.append(mat.num[rep.minus_perm, cols].sum(axis=0))
+            dens.append(mat.den)
+
         start = Sl2Mod(m, 1, 0, 0, 1)
-        mats = {start.mat(): ExactCycMatrix.identity(self.space.size, self.order)}
-        frontier = [start]
+        seen = {start.mat()}
+        frontier = [(start, ExactCycMatrix.identity(n, self.order))]
+        record(*frontier[0])
         gens = [(Sl2Mod(m, 1, 1, 0, 1), "T"), (Sl2Mod(m, 0, -1, 1, 0), "S")]
         while frontier:
             nxt = []
-            for g in frontier:
-                base = mats[g.mat()]
+            for g, base in frontier:
                 for h, tag in gens:
                     gh = g.mul(h)
-                    if gh.mat() in mats:
+                    if gh.mat() in seen:
                         continue
+                    seen.add(gh.mat())
                     if tag == "T":
-                        mats[gh.mat()] = base.mul_diag_power(rep.t_diag, 1)
+                        mat = base.mul_diag_power(rep.t_diag, 1)
                     else:
-                        mats[gh.mat()] = base @ s_gen
-                    nxt.append(gh)
+                        mat = base @ rep.s_mat
+                    record(gh, mat)
+                    nxt.append((gh, mat))
             frontier = nxt
-        for key, mat in mats.items():
-            f = _canonical_int_vector(mat.trace(), self.order)
-            g = _canonical_int_vector(mat.trace_perm(rep.minus_perm), self.order)
-            self._table[key] = (f, g)
+        k = len(keys)
+        red = _reduce_traces(np.stack(f_raw + g_raw), np.array(dens * 2, dtype=np.int64),
+                             self.order)
+        for i, key in enumerate(keys):
+            self._table[key] = (red[i], red[k + i])
+
+    def _twist_odd_table(self):
+        base = self._base._table
+        keys = list(base)
+        twisted = _twist_rows(np.stack([v for key in keys for v in base[key]]),
+                              self._galois, self.order)
+        for i, key in enumerate(keys):
+            self._table[key] = (twisted[2 * i], twisted[2 * i + 1])
 
     # -- queries ---------------------------------------------------------------
 
@@ -334,6 +404,15 @@ class TraceTable:
     # -- even spaces: per-key certified multi-embedding snap ---------------------
 
     def _even_entry(self, key) -> tuple[int, np.ndarray, np.ndarray]:
+        if self._base is not None:
+            # the lift class depends only on the word, so bit0 carries over
+            base = self._base._table
+            entry = base.get(key)
+            if entry is None:
+                entry = base[key] = self._base._even_entry(key)
+            bit0, f, g = entry
+            f, g = _twist_rows(np.stack([f, g]), self._galois, self.order)
+            return bit0, f, g
         cond = self.space.conductor
         L = self.order
         assert L & (L - 1) == 0, "even-space ambient order must be a 2-power"
@@ -571,13 +650,20 @@ class CharacterHandle:
         return evaluate_character(self, Sl2Word((0,)))
 
 
+def _check_galois(galois: int, conductor: int):
+    if gcd(galois, conductor) != 1:
+        raise ValueError(f"galois twist must be coprime to the conductor {conductor}")
+
+
 def theta_handle(m: int, sign: int = 0, galois: int = 1) -> CharacterHandle:
     kind = {0: "theta", 1: "theta_plus", -1: "theta_minus"}[sign]
+    _check_galois(galois, 4 * m)
     return CharacterHandle(kind=kind, m=m, galois=galois)
 
 
 def new_alpha_character(m: int, alpha: dict[int, int], galois: int = 1) -> CharacterHandle:
     _validate_alpha(m, alpha)
+    _check_galois(galois, 4 * m)
     return CharacterHandle(kind="nu_new", m=m,
                            alpha=tuple(sorted(alpha.items())), galois=galois)
 
@@ -587,8 +673,7 @@ def lambda_character(p: int, k: int, sign: int, galois: int = 1) -> CharacterHan
         raise ValueError("p must be an odd prime")
     if k < 1 or sign not in (1, -1):
         raise ValueError("need k >= 1 and sign in {+1, -1}")
-    if gcd(galois, p) != 1:
-        raise ValueError("galois twist must be coprime to p")
+    _check_galois(galois, p)
     return CharacterHandle(kind="lambda_new", p=p, k=k, sign=sign, galois=galois)
 
 
@@ -598,16 +683,17 @@ def _extend_galois(a: int, cond: int, order: int) -> int:
     Per prime power q || order the exponent is a mod (q-part of cond) when the
     prime divides cond, and 1 otherwise.  When the extension is not forced the
     value being twisted must lie in the smaller field for the result to be
-    independent of the choice; every use here is of that shape.
+    independent of the choice; every use here is of that shape.  Raises
+    ValueError when a is not a unit mod cond.
     """
+    if gcd(a, cond) != 1:
+        raise ValueError(f"galois twist {a} is not coprime to the conductor {cond}")
     res = 1
     mod = 1
     for p, e in factorize(order).items():
         q = p ** e
         qc = prime_part(cond, p)
         t = a % qc if qc > 1 else 1
-        while gcd(t, p) != 1:
-            t += qc
         inv = pow(mod, -1, q)
         res = res + mod * (((t - res) * inv) % q)
         mod *= q

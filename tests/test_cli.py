@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 
 from weightone.cli import main
 
@@ -85,11 +86,24 @@ def test_exit_code_usage_error(capsys):
     assert code == 2
     code, _ = run(capsys, "dim", "--m", "2", "--N", "8", "--M", "3")
     assert code == 2
+    for argv in (("qexp", "theta", "--m", "0", "--r", "1", "--order", "2"),
+                 ("qexp", "theta_pm", "--m", "-1", "--r", "1", "--order", "2"),
+                 ("qexp", "S_unary(0,1)", "--order", "2"),
+                 ("qexp", "xi_1_8", "--order", "1/0"),
+                 ("qexp", "eta", "--order", "-1"),
+                 ("qexp", "eta", "--order", "0")):
+        code, _ = run(capsys, *argv)
+        assert code == 2, argv
 
 
 def test_exit_code_budget(capsys):
     code, _ = run(capsys, "--budget", "5", "dim", "--m", "3", "--N", "144")
     assert code == 3
+    # the default budget stops an oversized query before any table is built
+    t0 = time.time()
+    code, _ = run(capsys, "dim", "--m", "64", "--N", "1")
+    assert code == 3
+    assert time.time() - t0 < 5
 
 
 def test_exit_code_digest(tmp_path, capsys):
@@ -108,9 +122,8 @@ def test_exit_code_digest(tmp_path, capsys):
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "dim", "--m", "2", "--N", "8", "--backend", "exact")
     _, out2 = run(capsys, "dim", "--m", "2", "--N", "8", "--backend", "exact")
-    o1, o2 = json.loads(out1), json.loads(out2)
-    o1.pop("elapsed"), o2.pop("elapsed")
-    assert o1 == o2
+    assert out1 == out2
+    assert "elapsed" not in json.loads(out1)
     _, q1 = run(capsys, "qexp", "xi_1_12", "--order", "8")
     _, q2 = run(capsys, "qexp", "xi_1_12", "--order", "8")
     assert q1 == q2

@@ -1,13 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from weightone.cyclotomic import CycNumber, ExactCycMatrix, embed_root
 from weightone.sl2 import CENTRAL_WORD, Sl2Word, gamma0_image, word_for
-from weightone.weil import (QuadSpace, alpha_on_prime,
+from weightone.weil import (QuadSpace, _extend_galois, alpha_on_prime,
                             evaluate_character, get_theta_engine,
                             get_trace_table, get_weil_rep, lambda_character,
                             lift_class, local_spaces, new_alpha_character,
@@ -190,6 +191,68 @@ def test_odd_table_well_defined_across_words():
         f, _ = table.values(w)
         fd, _ = rep.trace_pair(w)
         assert CycNumber(table.order, [Fraction(int(c)) for c in f]) == fd
+
+
+def _units(kind, m):
+    cond = 4 * m if kind == "D" else m
+    return [a for a in range(1, cond) if gcd(a, cond) == 1]
+
+
+def _assert_table_matches_rep(space, words):
+    table = get_trace_table(space)
+    rep = get_weil_rep(space)
+    for w in words:
+        lifts = (w, w.concat(CENTRAL_WORD)) if space.kind == "D" else (w,)
+        for wl in lifts:
+            for vec, exact in zip(table.values(wl), rep.trace_pair(wl)):
+                red = exact.promoted(table.order).canonical()
+                assert all(c.denominator == 1 for c in red), (space, wl)
+                assert list(vec[:len(red)]) == [int(c) for c in red], (space, wl)
+                assert not vec[len(red):].any(), (space, wl)
+
+
+# a fixed sample: identity, the generators, S^3, and longer words
+SAMPLE_WORDS = [Sl2Word(t) for t in ((0,), (1,), (0, 0), (0, 0, 0, 0), (2, 3), (-1, 2, 5),
+                                     (3, -2, 1, 4), (1, 1, -3, 2, -1), (-4, 0, 2, 1, 3))]
+
+
+def test_twisted_tables_equal_their_own_representation():
+    # every twist a, unit mod the conductor, against its own exact Weil rep
+    for kind, m, stride in (("D", 1, 1), ("D", 2, 1), ("L", 3, 1), ("L", 5, 1),
+                            ("D", 4, 53), ("L", 7, 7)):
+        cond = 4 * m if kind == "D" else m
+        words = [word_for(g) for g in itertools.islice(gamma0_image(1, cond), 0, None, stride)]
+        for a in _units(kind, m):
+            _assert_table_matches_rep(QuadSpace(kind, m, a), words)
+    for a in _units("L", 9):
+        _assert_table_matches_rep(QuadSpace("L", 9, a), SAMPLE_WORDS)
+    for a in (1, 3, 13, 31):
+        _assert_table_matches_rep(QuadSpace("D", 8, a), SAMPLE_WORDS[:6])
+
+
+def test_twisted_table_builds_no_rep_and_shares_base():
+    base = get_trace_table(QuadSpace("L", 5))
+    twisted = get_trace_table(QuadSpace("L", 5, 2))
+    assert twisted._base is base
+    assert twisted.rep is None
+    assert set(twisted._table) == set(base._table)
+
+
+def test_non_unit_galois_twist_is_rejected():
+    with pytest.raises(ValueError):
+        _extend_galois(2, 12, 24)
+    with pytest.raises(ValueError):
+        theta_handle(2, 0, galois=2)
+    with pytest.raises(ValueError):
+        new_alpha_character(4, {1: 1, 7: -1}, galois=6)
+    with pytest.raises(ValueError):
+        lambda_character(3, 1, 1, galois=3)
+    assert _extend_galois(5, 12, 24) % 12 == 5
+
+
+def test_degenerate_space_table_raises():
+    with pytest.raises(ValueError, match="degenerate"):
+        get_trace_table(QuadSpace("D", 3, 2))
 
 
 def test_lift_class():
