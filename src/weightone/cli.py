@@ -23,18 +23,10 @@ from .umbral import DataIntegrityError
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Global run options shared by every command.
-
-    ``parallelism`` is an upper bound on worker count; the current engines are
-    deterministic single-process reducers, so it is accepted and recorded but
-    does not change results.  ``precision`` is the certified error budget
-    handed to the floating backends.
-    """
+    """Global run options shared by every command."""
 
     data_dir: str | None = None
     backend: str = "exact"
-    precision: float = 1e-6
-    parallelism: int = 1
     output_format: str = "json"
     budget: int | None = None
 
@@ -45,15 +37,11 @@ class RunConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv or text")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
 
 def _config(args) -> RunConfig:
     return RunConfig(data_dir=args.data_dir,
                      backend=getattr(args, "backend", "exact"),
-                     precision=args.precision,
-                     parallelism=args.parallel,
                      output_format=args.format,
                      budget=args.budget)
 
@@ -116,6 +104,9 @@ def _cmd_qexp(args) -> int:
             raise ValueError("quark requires --a and --b")
         series = qseries.theta_quark(args.a, args.b, order)
     elif name == "eta":
+        work = (int(order) + 1) ** 2  # eta_expansion multiplies term by term
+        if args.budget is not None and work > args.budget:
+            raise BudgetExceeded(f"estimated eta work {work} exceeds {args.budget}")
         series = qseries.eta_expansion(order)
     else:
         series = qseries.explicit_form(name, order)
@@ -198,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--data-dir", default=os.environ.get("WEIGHTONE_DATA"),
                     help="override the bundled data directory")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="estimated element-count ceiling for dim and sweep")
-    ap.add_argument("--precision", type=float, default=1e-6,
-                    help="certified error budget for floating backends")
-    ap.add_argument("--parallel", type=int, default=1,
-                    help="worker ceiling (results are partition-independent)")
+                    help="estimated work ceiling: elements for dim and sweep, "
+                         "(order+1)^2 term products for qexp eta")
     sub = ap.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("qexp", help="print an exact q-expansion as JSON")
@@ -261,6 +249,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        # failed integrality or snap certificates, int64 headroom guards
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

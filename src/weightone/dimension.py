@@ -12,11 +12,27 @@ Three backends:
 
 * ``exact``     - H is a direct product of its prime parts and the summand is
                   a product of per-prime trace data, so the whole average
-                  factors into small per-prime sweeps, accumulated exactly.
-* ``float``     - the literal element-by-element average over H in complex
-                  arithmetic with certified integer snapping.
-* ``crt-float`` - the factored sweep in complex arithmetic; this is what makes
-                  index-30-level-36-sized queries instantaneous.
+                  factors into small per-prime sums, accumulated exactly.
+                  Each per-prime sum runs over the orbits of the local image
+                  under conjugation (``sl2.conjugation_orbits``): one trace
+                  table lookup per orbit representative, weighted by the
+                  orbit size.
+* ``crt-float`` - the same orbit sums in complex arithmetic.
+* ``float``     - the literal average over every element of H, evaluating
+                  each local Weil representation on the element's word in
+                  complex arithmetic; it shares no trace table, snap, lift
+                  class or orbit with the other two, which makes it the
+                  independent cross-check.
+
+Why orbit sums are exact: at each prime the four summands F1 F2, F1 G2, G1 F2
+and G1 G2 are class functions on SL2(Z/q_p).  At p = 2 both factors are
+D-type and are evaluated on the same word; the central S^4 acts as -1 on each
+of them, so their product is the character of a genuine representation and
+the lift cancels.  G is the trace against P-, which is a scalar times
+rho(S^2) with S^2 central, so a trace against it is still a class function.
+The odd L-type factors are genuine representations.  Every orbit lies inside
+one conjugacy class, hence the sum over H is the sum over orbits of
+|orbit| times the value at the representative.
 
 Exact and float backends agree wherever both run; the accumulated value must
 land on a nonnegative integer (within 1e-6 for the float backends, exactly
@@ -25,21 +41,25 @@ for the exact one) or the query fails loudly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 import numpy as np
 
 from .arith import divisors, factorize, is_squarefree, lcm, prime_part
 from .cyclotomic import CycNumber
-from .sl2 import Sl2Word, gamma0_image, gamma0_image_size, word_for
+from .sl2 import (Sl2Word, conjugation_orbits, gamma0_image, gamma0_image_size,
+                  word_for)
 from .weil import (CharacterHandle, QuadSpace, evaluate_character,
-                   get_trace_table, local_spaces)
+                   get_trace_table, get_weil_rep, local_spaces)
 
 BACKENDS = ("exact", "float", "crt-float")
-FLOAT_TOL = 1e-6
+FLOAT_TOL = 1e-6  # default snap tolerance of the float backends
+LITERAL_CHUNK = 512  # elements per batch of the literal float sweep
 DEFAULT_BUDGET = 10_000_000  # estimated elements; the CLI's ceiling for dim and sweep
 
 
@@ -94,67 +114,71 @@ def _local_space_of(index: int, p: int) -> QuadSpace | None:
 
 
 @lru_cache(maxsize=32)
-def _local_words(level_p: int, q_p: int) -> tuple[Sl2Word, ...]:
-    return tuple(word_for(g) for g in gamma0_image(level_p, q_p))
+def _local_words(level_p: int, q_p: int) -> tuple[tuple[Sl2Word, int], ...]:
+    """(word of the representative, orbit size) per conjugation orbit of the local image."""
+    return tuple((word_for(g), size) for g, size in conjugation_orbits(level_p, q_p))
 
 
-def _pair_sum_at_prime(p: int, q_p: int, level_p: int, sp1: QuadSpace | None,
+def _pair_sum_at_prime(q_p: int, level_p: int, sp1: QuadSpace | None,
                        spaces2: list[QuadSpace | None], complex_mode: bool):
     """Per-prime sums of F1 F2, F1 G2, G1 F2, G1 G2 over the local subgroup.
 
+    Each product is a class function, so the sum runs over conjugation
+    orbits, one representative word each, weighted by the orbit size.
     Returns a list (one entry per element of ``spaces2``) of 4-tuples of
     CycNumbers (exact) or complex numbers.
     """
-    words = _local_words(level_p, q_p)
+    orbits = _local_words(level_p, q_p)
+    words = [w for w, _ in orbits]
+    sizes = np.array([size for _, size in orbits], dtype=np.int64)
     t1 = get_trace_table(sp1) if sp1 is not None else None
     t2s = [get_trace_table(sp) if sp is not None else None for sp in spaces2]
     if complex_mode:
-        acc = [np.zeros(4, dtype=complex) for _ in spaces2]
-        for w in words:
-            f1, g1 = t1.values_complex(w) if t1 else (1 + 0j, 1 + 0j)
-            for i, t2 in enumerate(t2s):
-                f2, g2 = t2.values_complex(w) if t2 else (1 + 0j, 1 + 0j)
-                acc[i] += (f1 * f2, f1 * g2, g1 * f2, g1 * g2)
-        return [tuple(a) for a in acc]
-    orders = [(t1.order if t1 else 1)] + [t2.order if t2 else 1 for t2 in t2s]
-    L = lcm(*orders)
-    table_one = np.zeros(L, dtype=np.int64)
-    table_one[0] = 1
+        def stack(t):  # (R, 2): (F, G) per representative
+            if t is None:
+                return np.ones((len(words), 2), dtype=complex)
+            return np.array([t.values_complex(w) for w in words])
 
-    def promote(vec, order):
-        if order == L:
-            return vec
-        out = np.zeros(L, dtype=np.int64)
-        out[np.arange(len(vec)) * (L // order)] = vec
+        fg1 = stack(t1)
+        out = []
+        for t2 in t2s:
+            prods = (fg1[:, :, None] * stack(t2)[:, None, :]).reshape(len(words), 4)
+            out.append(tuple(sizes @ prods))
         return out
 
-    def mul(a, b):
-        full = np.convolve(a, b)
-        out = full[:L].copy()
-        out[: len(full) - L] += full[L:]
-        return out
+    def stack(t):  # (2, R, order): F and G coordinate rows per representative
+        if t is None:
+            return np.ones((2, len(words), 1), dtype=np.int64)
+        return np.array([t.values(w) for w in words]).transpose(1, 0, 2)
 
-    acc = [[np.zeros(L, dtype=np.int64) for _ in range(4)] for _ in spaces2]
-    for w in words:
-        if t1:
-            f1, g1 = t1.values(w)
-            f1, g1 = promote(f1, t1.order), promote(g1, t1.order)
-        else:
-            f1 = g1 = table_one
-        for i, t2 in enumerate(t2s):
-            if t2:
-                f2, g2 = t2.values(w)
-                f2, g2 = promote(f2, t2.order), promote(g2, t2.order)
-            else:
-                f2 = g2 = table_one
-            acc[i][0] += mul(f1, f2)
-            acc[i][1] += mul(f1, g2)
-            acc[i][2] += mul(g1, f2)
-            acc[i][3] += mul(g1, g2)
+    L = lcm(*[t.order for t in [t1] + t2s if t is not None])
+    fg1 = stack(t1)
     out = []
-    for quad in acc:
-        out.append(tuple(CycNumber(L, [Fraction(int(c)) for c in v]) for v in quad))
+    for t2 in t2s:
+        fg2 = stack(t2)
+        out.append(tuple(_weighted_product_sum(fg1[i], fg2[j], sizes, L)
+                         for i in (0, 1) for j in (0, 1)))
     return out
+
+
+def _weighted_product_sum(v1: np.ndarray, v2: np.ndarray, sizes: np.ndarray,
+                          L: int) -> CycNumber:
+    """sum_r sizes[r] v1[r] v2[r] in Q(zeta_L), from one (L1 x L2) product.
+
+    Rows of v1 (R x L1) and v2 (R x L2) are power-basis coordinates in
+    Q(zeta_L1) and Q(zeta_L2).  The bound covers every int64 step: the
+    weighting, the sum over R representatives, and the fold, which adds at
+    most min(L1, L2) products into each coordinate of Q(zeta_L).
+    """
+    bound = (int(np.abs(v1).max(initial=1)) * int(np.abs(v2).max(initial=1))
+             * int(sizes.max(initial=1)) * len(sizes) * min(v1.shape[1], v2.shape[1]))
+    if bound >= (1 << 62):
+        raise OverflowError("exact orbit sum would overflow int64")
+    outer = v1.T @ (sizes[:, None] * v2)
+    i, j = np.indices(outer.shape)
+    out = np.zeros(L, dtype=np.int64)
+    np.add.at(out, (i * (L // v1.shape[1]) + j * (L // v2.shape[1])) % L, outer)
+    return CycNumber(L, [Fraction(int(c)) for c in out])
 
 
 def _theta_pair_inner_products(m: int, mprimes: list[int], level: int, q: int,
@@ -169,7 +193,7 @@ def _theta_pair_inner_products(m: int, mprimes: list[int], level: int, q: int,
         sp1 = _local_space_of(m, p)
         sp2s = [_local_space_of(mp, p) for mp in mprimes]
         sizes.append(gamma0_image_size(level_p, q_p))
-        per_prime.append(_pair_sum_at_prime(p, q_p, level_p, sp1, sp2s, complex_mode))
+        per_prime.append(_pair_sum_at_prime(q_p, level_p, sp1, sp2s, complex_mode))
     h_size = 1
     for s in sizes:
         h_size *= s
@@ -191,27 +215,39 @@ def _theta_pair_inner_products(m: int, mprimes: list[int], level: int, q: int,
 
 
 def _literal_inner_products(m: int, mprimes: list[int], level: int, q: int) -> list[complex]:
-    """The element-by-element complex average over the level-N image."""
-    eng1 = [get_trace_table(sp) for sp in local_spaces(m)]
-    eng2 = [[get_trace_table(sp) for sp in local_spaces(mp)] for mp in mprimes]
+    """The element-by-element complex average over the level-N image.
+
+    Every local space of theta_m and theta_{m'} is evaluated on each
+    element's canonical word straight from its Weil representation, so no
+    trace table, snap, lift class or orbit enters.  H is streamed in chunks,
+    and words with equally many S letters are evaluated together.
+    """
+    spaces1 = local_spaces(m)
+    spaces2 = [local_spaces(mp) for mp in mprimes]
+    reps = {sp: get_weil_rep(sp) for sp in set(spaces1).union(*spaces2)}
     acc = np.zeros(len(mprimes), dtype=complex)
     count = 0
-    for g in gamma0_image(level, q):
-        w = word_for(g)
-        f1, g1 = 1 + 0j, 1 + 0j
-        for t in eng1:
-            fv, gv = t.values_complex(w)
-            f1 *= fv
-            g1 *= gv
-        tminus = (f1 - g1) / 2.0
-        for i, tables in enumerate(eng2):
-            f2, g2 = 1 + 0j, 1 + 0j
-            for t in tables:
-                fv, gv = t.values_complex(w)
-                f2 *= fv
-                g2 *= gv
-            acc[i] += tminus * (f2 + g2) / 2.0
-        count += 1
+    elements = gamma0_image(level, q)
+    while chunk := list(islice(elements, LITERAL_CHUNK)):
+        count += len(chunk)
+        by_length = defaultdict(list)
+        for g in chunk:
+            w = word_for(g)
+            by_length[len(w.texps)].append(w)
+        for words in by_length.values():
+            trace, twisted = {}, {}
+            for sp, rep in reps.items():
+                mats = rep.evaluate_word_complex(words)
+                trace[sp] = np.trace(mats, axis1=1, axis2=2)
+                twisted[sp] = mats[:, rep.minus_perm, np.arange(sp.size)].sum(axis=1)
+
+            def twice_theta(spaces, sign):  # F + sign G per word
+                return (np.prod([trace[sp] for sp in spaces], axis=0)
+                        + sign * np.prod([twisted[sp] for sp in spaces], axis=0))
+
+            minus = twice_theta(spaces1, -1)
+            for i, sps in enumerate(spaces2):
+                acc[i] += (minus * twice_theta(sps, 1)).sum() / 4.0
     return list(acc / count)
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterator
+
+import numpy as np
 
 from .arith import factorize, prime_part, psi_index, xgcd
 
@@ -235,24 +238,87 @@ def gamma0_image(n: int, q: int) -> Iterator[Sl2Mod]:
                         yield Sl2Mod(q, a, b, c, d)
 
 
-def _p1_points(n: int) -> list[tuple[int, int]]:
+def _unit_generators(q: int) -> list[int]:
+    """A few units that generate (Z/qZ)^*, picked greedily from 2 upwards."""
+    gens, span = [], {1 % q}
+    for u in range(2, q):
+        if gcd(u, q) != 1 or u in span:
+            continue
+        gens.append(u)
+        while True:
+            grown = span | {x * u % q for x in span}
+            if grown == span:
+                break
+            span = grown
+    return gens
+
+
+def _conjugators(n: int, q: int) -> list[Mat]:
+    if n == 1:
+        return [T_MAT, S_MAT]
+    return [T_MAT, (1, 0, n, 1)] + [(u, 0, 0, pow(u, -1, q)) for u in _unit_generators(q)]
+
+
+def conjugation_orbits(n: int, q: int) -> list[tuple[Sl2Mod, int]]:
+    """Orbits of H = {g in SL2(Z/qZ) : c = 0 mod n} under conjugation.
+
+    The conjugators are T and S for n = 1, and T, [[1, 0], [n, 1]] and
+    diag(u, 1/u) for a few units u otherwise.  All of them lie in H, so each
+    orbit lies in one conjugacy class of H; a set that generates less than H
+    only splits classes into more orbits.  The orbits are the components of
+    the graph g -- h g h^-1, found by a vectorized union-find that always
+    hooks a root under the smaller one.  Returns each orbit's least element,
+    in (a, b, c, d) order, with the orbit size.
+    """
+    elems = np.fromiter((v for g in gamma0_image(n, q) for v in g.mat()),
+                        dtype=np.int64).reshape(-1, 4)
+    keys = ((elems[:, 0] * q + elems[:, 1]) * q + elems[:, 2]) * q + elems[:, 3]
+    order = np.argsort(keys)
+    elems, keys = elems[order], keys[order]
+    a, b, c, d = elems.T
+    edges = []
+    for (x, y, z, w) in _conjugators(n, q):
+        # h g h^-1 with h^-1 = (w, -y, -z, x)
+        ha, hb, hc, hd = x * a + y * c, x * b + y * d, z * a + w * c, z * b + w * d
+        conj = [(ha * w - hb * z) % q, (hb * x - ha * y) % q,
+                (hc * w - hd * z) % q, (hd * x - hc * y) % q]
+        ckeys = ((conj[0] * q + conj[1]) * q + conj[2]) * q + conj[3]
+        nb = np.searchsorted(keys, ckeys)
+        assert np.array_equal(keys[nb], ckeys), "conjugator left the subgroup"
+        edges.append(nb)
+    parent = np.arange(len(keys))
+    while True:
+        for nb in edges:
+            ri, rj = parent.copy(), parent[nb]
+            lo = np.minimum(ri, rj)
+            np.minimum.at(parent, ri, lo)
+            np.minimum.at(parent, rj, lo)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        if all(np.array_equal(parent, parent[nb]) for nb in edges):
+            break
+    sizes = np.bincount(parent, minlength=len(keys))
+    reps = np.flatnonzero(sizes)
+    assert int(sizes.sum()) == gamma0_image_size(n, q)
+    return [(Sl2Mod(q, *(int(v) for v in elems[r])), int(sizes[r])) for r in reps]
+
+
+@lru_cache(maxsize=16)
+def _p1(n: int) -> tuple[tuple[tuple[int, int], ...], dict]:
+    """Points of P^1(Z/nZ) and the map from each primitive (c, d) to its point.
+
+    A point is the least (u c, u d) over the units u mod n.
+    """
     units = [u for u in range(n) if gcd(u, n) == 1]
-    seen = set()
-    pts = []
+    canon = {}
     for c in range(n):
         for d in range(n):
-            if gcd(gcd(c, d), n) != 1:
-                continue
-            rep = min(((u * c) % n, (u * d) % n) for u in units)
-            if rep not in seen:
-                seen.add(rep)
-                pts.append(rep)
-    return pts
-
-
-def _p1_reduce(pt: tuple[int, int], n: int, units: list[int]) -> tuple[int, int]:
-    c, d = pt
-    return min(((u * c) % n, (u * d) % n) for u in units)
+            if gcd(gcd(c, d), n) == 1:
+                canon[(c, d)] = min(((u * c) % n, (u * d) % n) for u in units)
+    return tuple(sorted(set(canon.values()))), canon
 
 
 def perm_character(n: int, g: Sl2Mod) -> int:
@@ -262,17 +328,12 @@ def perm_character(n: int, g: Sl2Mod) -> int:
     """
     if g.q % n != 0:
         raise ValueError("modulus of g must be a multiple of n")
-    gm = g.reduce(n) if n > 1 else None
     if n == 1:
         return 1
-    units = [u for u in range(n) if gcd(u, n) == 1]
-    count = 0
-    for (c, d) in _p1_points(n):
-        cc = (c * gm.a + d * gm.c) % n
-        dd = (c * gm.b + d * gm.d) % n
-        if _p1_reduce((cc, dd), n, units) == (c, d):
-            count += 1
-    return count
+    a, b, c0, d0 = g.reduce(n).mat()
+    points, canon = _p1(n)
+    return sum(canon[((c * a + d * c0) % n, (c * b + d * d0) % n)] == (c, d)
+               for (c, d) in points)
 
 
 def coset_space_size(p_squared: int) -> int:
@@ -292,7 +353,7 @@ def double_coset_count(p: int) -> int:
         raise ValueError("p must be an odd prime")
     n = p * p
     units = [u for u in range(n) if gcd(u, n) == 1]
-    pts = _p1_points(n)
+    pts, canon = _p1(n)
     index = {pt: i for i, pt in enumerate(pts)}
     # B acts on columns (x : y) by left multiplication; generators: T, diag(u, 1/u)
     gens = [(1, 1, 0, 1)]
@@ -309,7 +370,7 @@ def double_coset_count(p: int) -> int:
     for i, (x, y) in enumerate(pts):
         for (a, b, c, d) in gens:
             xx, yy = (a * x + b * y) % n, (c * x + d * y) % n
-            j = index[_p1_reduce((xx, yy), n, units)]
+            j = index[canon[(xx, yy)]]
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj

@@ -160,14 +160,32 @@ class WeilRep:
         s = self.s_mat.to_complex_array(galois)
         return t_phase, s
 
-    def evaluate_word_complex(self, word: Sl2Word, galois: int = 1) -> np.ndarray:
-        t_phase, s = self._embedded_gens(galois % self.order)
+    def evaluate_word_complex(self, words, galois=1) -> np.ndarray:
+        """rho(w) under e(1/L) -> e(galois/L) for words with equally many S letters.
+
+        ``galois`` is one unit mod L for every word or one per word.  Returns
+        the matrices stacked, shape (len(words), n, n).  T powers are looked up
+        as exact residues mod L, so no phase error grows with the exponent.
+        """
+        L = self.order
+        texps = np.array([w.texps for w in words], dtype=np.int64)
+        gal = np.broadcast_to(np.asarray(galois, dtype=np.int64) % L, (len(texps),))
+        roots = np.exp(2j * np.pi * np.arange(L) / L)
+        t_res = (gal[:, None] * self.t_diag[None, :]) % L
+
+        def t_phases(col):  # (B, n): the diagonal of T^texps[:, col]
+            return roots[(t_res * (texps[:, col] % L)[:, None]) % L]
+
+        uniq = np.unique(gal)
+        s = (self._embedded_gens(int(uniq[0]))[1] if len(uniq) == 1
+             else np.stack([self._embedded_gens(int(a))[1] for a in gal]))
         n = self.space.size
-        m = np.diag(t_phase ** word.texps[0])
-        for t in word.texps[1:]:
+        m = np.zeros((len(texps), n, n), dtype=complex)
+        m[:, np.arange(n), np.arange(n)] = t_phases(0)
+        for col in range(1, texps.shape[1]):
             m = m @ s
-            if t:
-                m = m * (t_phase ** t)[None, :]
+            if texps[:, col].any():
+                m *= t_phases(col)[:, None, :]
         return m
 
 
@@ -420,7 +438,7 @@ class TraceTable:
         bit0 = lift_class(w0)
         units = [a for a in range(1, L, 2) if a <= L // 2] if L > 2 else [1]
         n = self.space.size
-        mats = np.stack([self.rep.evaluate_word_complex(w0, a) for a in units])
+        mats = self.rep.evaluate_word_complex([w0] * len(units), units)
         f_emb = np.trace(mats, axis1=1, axis2=2)
         g_emb = mats[:, self.rep.minus_perm, np.arange(n)].sum(axis=1)
         f = _snap_two_power(f_emb, units, L)

@@ -2,6 +2,9 @@ import json
 import shutil
 import time
 
+import pytest
+
+from weightone import dimension
 from weightone.cli import main
 
 
@@ -104,6 +107,15 @@ def test_exit_code_budget(capsys):
     code, _ = run(capsys, "dim", "--m", "64", "--N", "1")
     assert code == 3
     assert time.time() - t0 < 5
+    # qexp eta estimates (order + 1)^2 term products against the same budget
+    t0 = time.time()
+    code, _ = run(capsys, "qexp", "eta", "--order", "20000")
+    assert code == 3
+    assert time.time() - t0 < 5
+    code, _ = run(capsys, "--budget", "120", "qexp", "eta", "--order", "10")
+    assert code == 3
+    code, _ = run(capsys, "--budget", "121", "qexp", "eta", "--order", "10")
+    assert code == 0
 
 
 def test_exit_code_digest(tmp_path, capsys):
@@ -144,3 +156,20 @@ def test_rademacher_cauchy_table(capsys):
     assert {r["K"] for r in rows} == {1, 2}
     assert all(r["cauchy_delta"] is None for r in rows if r["K"] == 1)
     assert any(r["cauchy_delta"] not in (None, 0) for r in rows if r["K"] == 2)
+
+
+@pytest.mark.parametrize("exc", [
+    dimension.IntegralityError("value 0.5 is not a nonnegative integer"),
+    OverflowError("exact trace reduction would overflow int64"),
+    ArithmeticError("certified integer snap failed; table value rejected"),
+    AssertionError("trace value is not an algebraic integer"),
+])
+def test_exit_code_verification_failure(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(dimension, "dim_j1", fail)
+    code = main(["dim", "--m", "2", "--N", "8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(exc) in err
+

@@ -1,15 +1,22 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from weightone.arith import factorize, lcm
+from weightone.cyclotomic import CycNumber
 from weightone.dimension import (BudgetExceeded, DimQuery,
+                                 _theta_pair_inner_products,
+                                 _weighted_product_sum,
                                  admissible_divisors, default_aux, dim_j1,
                                  estimated_cost, inner_product,
                                  lemma_hypotheses, twisted_pair_inner_products,
                                  umbral_sweep)
 from weightone.sl2 import gamma0_image, perm_character, word_for
 from weightone.umbral import load_dataset
-from weightone.weil import evaluate_character, theta_handle
+from weightone.vanishing import exponent_criterion
+from weightone.weil import (evaluate_character, get_trace_table, local_spaces,
+                            theta_handle)
 
 
 def test_query_validation():
@@ -40,8 +47,89 @@ def test_admissible_divisors():
 
 
 def test_level_one_vanishing_small():
-    for m in range(1, 7):
-        assert dim_j1(m, 1, m) == 0
+    # m = 16 sweeps SL2(Z/64); m = 11 and 13 are left to the slower odd tables
+    for m in (1, 2, 3, 4, 5, 6, 12, 14, 15, 16):
+        assert dim_j1(m, 1, m) == 0, m
+
+
+def _literal_pair_inner_products(m, mprimes, level, q):
+    """<theta_m^- theta_{m'}^+, 1_N> as the exact average over every element.
+
+    Values are integer coordinate vectors in Q(zeta_L), multiplied modulo
+    x^L - 1 and reduced only at the end.
+    """
+    tables = {k: [get_trace_table(sp) for sp in local_spaces(k)] for k in {m, *mprimes}}
+    L = lcm(*(t.order for ts in tables.values() for t in ts))
+    one = np.zeros(L, dtype=np.int64)
+    one[0] = 1
+
+    def mul(a, b):
+        full = np.convolve(a, b)
+        out = full[:L].copy()
+        out[: len(full) - L] += full[L:]
+        return out
+
+    def twice_theta(k, w, sign):  # F + sign G
+        f = g = one
+        for t in tables[k]:
+            fv, gv = (np.zeros(L, dtype=np.int64) for _ in range(2))
+            fv[::L // t.order], gv[::L // t.order] = t.values(w)
+            f, g = mul(f, fv), mul(g, gv)
+        return f + sign * g
+
+    totals = [np.zeros(L, dtype=np.int64) for _ in mprimes]
+    count = 0
+    for g in gamma0_image(level, q):
+        w = word_for(g)
+        left = twice_theta(m, w, -1)
+        for i, mp in enumerate(mprimes):
+            totals[i] += mul(left, twice_theta(mp, w, 1))
+        count += 1
+    return [CycNumber(L, [Fraction(int(c), 4 * count) for c in t]) for t in totals]
+
+
+def test_orbit_sums_equal_the_literal_average():
+    for (m, n, aux) in ((8, 32, 8), (9, 9, 9), (2, 8, 2), (6, 12, 6), (4, 16, 4)):
+        mprimes = admissible_divisors(aux)
+        orbit = _theta_pair_inner_products(m, mprimes, n, 4 * aux, complex_mode=False)
+        literal = _literal_pair_inner_products(m, mprimes, n, 4 * aux)
+        assert orbit == literal, (m, n, aux)
+        crt = _theta_pair_inner_products(m, mprimes, n, 4 * aux, complex_mode=True)
+        for c, v in zip(crt, literal):
+            assert abs(c - v.to_complex()) < 1e-9, (m, n, aux)
+
+
+def test_weighted_product_sum_and_its_overflow_guard():
+    rng = np.random.default_rng(5)
+    v1 = rng.integers(-3, 4, size=(5, 4))   # rows in Q(zeta_4)
+    v2 = rng.integers(-3, 4, size=(5, 6))   # rows in Q(zeta_6)
+    sizes = np.array([1, 2, 3, 4, 6], dtype=np.int64)
+    want = CycNumber.rational(0)
+    for r in range(5):
+        x = CycNumber(4, [Fraction(int(c)) for c in v1[r]])
+        y = CycNumber(6, [Fraction(int(c)) for c in v2[r]])
+        want = want + CycNumber.rational(int(sizes[r])) * x * y
+    assert _weighted_product_sum(v1, v2, sizes, 12) == want
+    # each entry and the plain product fit int64, but the fold of min(L1, L2)
+    # products into one coordinate would not
+    big = np.full((1, 4), 1 << 30, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _weighted_product_sum(big, big, np.array([1 << 1], dtype=np.int64), 4)
+
+def test_vanishing_criteria_imply_zero_dimension():
+    # wherever the syntactic lemma or the exponent criterion says "vanishes",
+    # the exact dimension is 0; moduli 4M <= 288 with odd prime powers <= 9
+    checked = 0
+    for m in range(1, 13):
+        for n in range(1, 37):
+            aux = default_aux(m, n)
+            fac = factorize(4 * aux)
+            if 4 * aux > 288 or any(p > 7 or (p > 2 and p ** e > 9) for p, e in fac.items()):
+                continue
+            if lemma_hypotheses(m, n) or exponent_criterion(m, aux).vanishes:
+                assert dim_j1(m, n, aux) == 0, (m, n, aux)
+                checked += 1
+    assert checked == 213
 
 
 def test_m_independence():
@@ -51,7 +139,8 @@ def test_m_independence():
 
 
 def test_backend_agreement():
-    for (m, n, aux) in ((2, 8, 2), (3, 9, 9), (9, 9, 9), (2, 2, 2), (8, 32, 8)):
+    level_one = tuple((m, 1, m) for m in range(1, 9))
+    for (m, n, aux) in ((2, 8, 2), (3, 9, 9), (9, 9, 9), (2, 2, 2), (8, 32, 8)) + level_one:
         exact = dim_j1(m, n, aux, backend="exact")
         flt = dim_j1(m, n, aux, backend="float")
         crt = dim_j1(m, n, aux, backend="crt-float")
@@ -148,7 +237,6 @@ def test_lemma_hypotheses():
 
 def test_criterion_dimension_consistency():
     # wherever the exponent criterion proves vanishing, the dimension is 0
-    from weightone.vanishing import exponent_criterion
     for m in range(1, 5):
         for aux in range(m, 13):
             if aux % m:

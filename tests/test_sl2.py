@@ -1,12 +1,14 @@
 import random
+from math import gcd
 
 import pytest
 
 from weightone.arith import psi_index
-from weightone.sl2 import (CENTRAL_WORD, Sl2Mod, Sl2Word, coset_space_size,
-                           crt_local_lift, double_coset_count, gamma0_image,
-                           gamma0_image_size, group_order, lift_to_integers,
-                           mat_mul, perm_character, word_decompose, word_for)
+from weightone.sl2 import (CENTRAL_WORD, Sl2Mod, Sl2Word, conjugation_orbits,
+                           coset_space_size, crt_local_lift, double_coset_count,
+                           gamma0_image, gamma0_image_size, group_order,
+                           lift_to_integers, mat_mul, perm_character,
+                           word_decompose, word_for)
 
 
 def random_sl2mod(rng, q):
@@ -204,3 +206,44 @@ def test_word_for_mod_q():
         g = random_sl2mod(rng, q)
         w = word_for(g)
         assert tuple(x % q for x in w.mat()) == g.mat()
+
+
+def _closure_under_conjugation(g, conjugators, q):
+    """The orbit of g under conjugation by the given matrices, by plain search."""
+    inverses = [(d, -b, -c, a) for (a, b, c, d) in conjugators]
+    seen = {g}
+    todo = [g]
+    while todo:
+        x = todo.pop()
+        for h, hinv in zip(conjugators, inverses):
+            y = tuple(v % q for v in mat_mul(mat_mul(h, x), hinv))
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def test_conjugation_orbits_partition_the_level_image():
+    for n, q in ((1, 8), (1, 9), (2, 8), (4, 16), (3, 9), (5, 25), (8, 8), (3, 12)):
+        orbits = conjugation_orbits(n, q)
+        assert sum(size for _, size in orbits) == gamma0_image_size(n, q)
+        if n == 1:
+            conjugators = [(1, 1, 0, 1), (0, -1, 1, 0)]
+        else:
+            conjugators = [(1, 1, 0, 1), (1, 0, n, 1)] + [
+                (u, 0, 0, pow(u, -1, q)) for u in range(1, q) if gcd(u, q) == 1]
+        covered = set()
+        for rep, size in orbits:
+            assert rep.c % n == 0
+            orbit = _closure_under_conjugation(rep.mat(), conjugators, q)
+            assert len(orbit) == size and min(orbit) == rep.mat(), (n, q, rep)
+            assert not orbit & covered
+            covered |= orbit
+        assert covered == {g.mat() for g in gamma0_image(n, q)}
+
+
+def test_conjugation_orbit_counts():
+    # for n = 1 these are the class numbers of SL2(Z/q)
+    for q, classes in ((13, 17), (16, 76), (27, 79), (32, 168), (64, 352)):
+        assert len(conjugation_orbits(1, q)) == classes, q
+    assert len(conjugation_orbits(16, 64)) == 704

@@ -434,7 +434,7 @@ def test_p_part_global_equals_product_m30_float():
         parts = p_part_decomposition(h)
         for _ in range(2):
             w = rand_word(max_s=2)
-            mat = rep.evaluate_word_complex(w)
+            mat = rep.evaluate_word_complex([w])[0]
             acc = 0j
             for a, sgn in sorted(al.items()):
                 perm = [(a * x) % 60 for x in range(60)]
