@@ -12,38 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dimension, qseries, umbral, vanishing
-from .dimension import BACKENDS, DEFAULT_BUDGET, BudgetExceeded
+from .dimension import DEFAULT_BUDGET, BudgetExceeded
 from .rademacher import RademacherParams, cauchy_table, truncated_sum
 from .umbral import DataIntegrityError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global run options shared by every command."""
-
-    data_dir: str | None = None
-    backend: str = "exact"
-    output_format: str = "json"
-    budget: int | None = None
-
-    def __post_init__(self):
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError("format must be json, csv or text")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(data_dir=args.data_dir,
-                     backend=getattr(args, "backend", "exact"),
-                     output_format=args.format,
-                     budget=args.budget)
 
 
 def _fmt(value):
@@ -105,7 +79,7 @@ def _cmd_qexp(args) -> int:
         series = qseries.theta_quark(args.a, args.b, order)
     elif name == "eta":
         work = (int(order) + 1) ** 2  # eta_expansion multiplies term by term
-        if args.budget is not None and work > args.budget:
+        if work > args.budget:
             raise BudgetExceeded(f"estimated eta work {work} exceeds {args.budget}")
         series = qseries.eta_expansion(order)
     else:
@@ -238,7 +212,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _config(args)  # validate the global options up front
+        if args.budget <= 0:
+            raise ValueError("budget must be positive")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,10 +197,6 @@ class CycNumber:
 
     __hash__ = None  # redundant representation; use canonical() if needed
 
-    def is_rational(self) -> bool:
-        red = self.canonical()
-        return all(c == 0 for c in red[1:])
-
     def rational_value(self) -> Fraction:
         red = self.canonical()
         if any(c != 0 for c in red[1:]):
@@ -332,10 +328,6 @@ def gauss_sigma(space) -> int:
         if g.promoted(Lc) == root * embed_root(8, j):
             return j
     raise ValueError("Gauss sum is not sqrt(|A|) times an eighth root of unity")
-
-
-def to_complex(x: CycNumber, precision: float | None = None) -> complex:
-    return x.to_complex(precision)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +479,3 @@ class ExactCycMatrix:
         ang = TWO_PI * ((galois * np.arange(red.shape[-1])) % L) / L
         basis = np.exp(1j * ang)
         return red.astype(float) @ basis / self.den
-
-    def reduced_num(self) -> np.ndarray:
-        """Integer coordinate tensor in the reduced (mod Phi_L) basis."""
-        return self.num @ _phi_reduction_matrix(self.order)

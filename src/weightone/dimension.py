@@ -8,20 +8,21 @@ character over the image H = {c = 0 mod N} of that subgroup, with both trace
 factors evaluated on the same word per element so that the metaplectic lift
 ambiguity cancels.
 
-Three backends:
+Two computations, behind three backend names:
 
 * ``exact``     - H is a direct product of its prime parts and the summand is
                   a product of per-prime trace data, so the whole average
-                  factors into small per-prime sums, accumulated exactly.
-                  Each per-prime sum runs over the orbits of the local image
-                  under conjugation (``sl2.conjugation_orbits``): one trace
-                  table lookup per orbit representative, weighted by the
-                  orbit size.
-* ``crt-float`` - the same orbit sums in complex arithmetic.
+                  factors into small per-prime sums.  Each per-prime sum runs
+                  over the orbits of the local image under conjugation
+                  (``sl2.conjugation_orbits``): one trace table lookup per
+                  orbit representative, weighted by the orbit size.  The
+                  per-prime sums are multiplied across primes and reduced
+                  mod Phi_L in int64, behind overflow guards.
+* ``crt-float`` - accepted as a name for ``exact``.
 * ``float``     - the literal average over every element of H, evaluating
                   each local Weil representation on the element's word in
                   complex arithmetic; it shares no trace table, snap, lift
-                  class or orbit with the other two, which makes it the
+                  class or orbit with ``exact``, which makes it the
                   independent cross-check.
 
 Why orbit sums are exact: at each prime the four summands F1 F2, F1 G2, G1 F2
@@ -34,9 +35,9 @@ The odd L-type factors are genuine representations.  Every orbit lies inside
 one conjugacy class, hence the sum over H is the sum over orbits of
 |orbit| times the value at the representative.
 
-Exact and float backends agree wherever both run; the accumulated value must
-land on a nonnegative integer (within 1e-6 for the float backends, exactly
-for the exact one) or the query fails loudly.
+Both computations agree wherever both run; the accumulated value must land
+on a nonnegative integer (exactly for ``exact``, within a fixed 1e-6 for
+``float``, which carries no error bound) or the query fails loudly.
 """
 
 from __future__ import annotations
@@ -46,19 +47,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .arith import divisors, factorize, is_squarefree, lcm, prime_part
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _phi_reduction_matrix
 from .sl2 import (Sl2Word, conjugation_orbits, gamma0_image, gamma0_image_size,
                   word_for)
-from .weil import (CharacterHandle, QuadSpace, evaluate_character,
-                   get_trace_table, get_weil_rep, local_spaces)
+from .weil import (CharacterHandle, QuadSpace, _int_product, evaluate_character,
+                   get_theta_engine, get_trace_table, get_weil_rep, local_spaces)
 
 BACKENDS = ("exact", "float", "crt-float")
-FLOAT_TOL = 1e-6  # default snap tolerance of the float backends
+FLOAT_TOL = 1e-6  # fixed snap tolerance of the float cross-check; not an error bound
 LITERAL_CHUNK = 512  # elements per batch of the literal float sweep
 DEFAULT_BUDGET = 10_000_000  # estimated elements; the CLI's ceiling for dim and sweep
 
@@ -120,97 +121,88 @@ def _local_words(level_p: int, q_p: int) -> tuple[tuple[Sl2Word, int], ...]:
 
 
 def _pair_sum_at_prime(q_p: int, level_p: int, sp1: QuadSpace | None,
-                       spaces2: list[QuadSpace | None], complex_mode: bool):
+                       spaces2: list[QuadSpace | None]) -> list[tuple[np.ndarray, ...]]:
     """Per-prime sums of F1 F2, F1 G2, G1 F2, G1 G2 over the local subgroup.
 
     Each product is a class function, so the sum runs over conjugation
     orbits, one representative word each, weighted by the orbit size.
     Returns a list (one entry per element of ``spaces2``) of 4-tuples of
-    CycNumbers (exact) or complex numbers.
+    integer coordinate vectors in Z[zeta_L].
     """
     orbits = _local_words(level_p, q_p)
     words = [w for w, _ in orbits]
     sizes = np.array([size for _, size in orbits], dtype=np.int64)
-    t1 = get_trace_table(sp1) if sp1 is not None else None
-    t2s = [get_trace_table(sp) if sp is not None else None for sp in spaces2]
-    if complex_mode:
-        def stack(t):  # (R, 2): (F, G) per representative
-            if t is None:
-                return np.ones((len(words), 2), dtype=complex)
-            return np.array([t.values_complex(w) for w in words])
 
-        fg1 = stack(t1)
-        out = []
-        for t2 in t2s:
-            prods = (fg1[:, :, None] * stack(t2)[:, None, :]).reshape(len(words), 4)
-            out.append(tuple(sizes @ prods))
-        return out
-
-    def stack(t):  # (2, R, order): F and G coordinate rows per representative
-        if t is None:
+    def stack(sp):  # (2, R, order): F and G coordinate rows per representative
+        if sp is None:
             return np.ones((2, len(words), 1), dtype=np.int64)
+        t = get_trace_table(sp)
         return np.array([t.values(w) for w in words]).transpose(1, 0, 2)
 
-    L = lcm(*[t.order for t in [t1] + t2s if t is not None])
-    fg1 = stack(t1)
+    fg1 = stack(sp1)
     out = []
-    for t2 in t2s:
-        fg2 = stack(t2)
-        out.append(tuple(_weighted_product_sum(fg1[i], fg2[j], sizes, L)
+    for sp2 in spaces2:
+        fg2 = stack(sp2)
+        out.append(tuple(_weighted_product_sum(fg1[i], fg2[j], sizes)
                          for i in (0, 1) for j in (0, 1)))
     return out
 
 
-def _weighted_product_sum(v1: np.ndarray, v2: np.ndarray, sizes: np.ndarray,
-                          L: int) -> CycNumber:
-    """sum_r sizes[r] v1[r] v2[r] in Q(zeta_L), from one (L1 x L2) product.
+def _weighted_product_sum(v1: np.ndarray, v2: np.ndarray,
+                          sizes: np.ndarray | None = None) -> np.ndarray:
+    """sum_r sizes[r] v1[r] v2[r] in Z[zeta_L], L = lcm(L1, L2).
 
     Rows of v1 (R x L1) and v2 (R x L2) are power-basis coordinates in
-    Q(zeta_L1) and Q(zeta_L2).  The bound covers every int64 step: the
-    weighting, the sum over R representatives, and the fold, which adds at
-    most min(L1, L2) products into each coordinate of Q(zeta_L).
+    Z[zeta_L1] and Z[zeta_L2]; ``sizes`` defaults to all ones.  One
+    (L1 x L2) product is folded into the length-L coordinate vector, which
+    is returned unreduced mod Phi_L.  The bound covers every int64 step: the
+    weighting, the sum over R rows, and the fold, which adds at most
+    min(L1, L2) products into each coordinate.
     """
+    if sizes is None:
+        sizes = np.ones(len(v1), dtype=np.int64)
+    L1, L2 = v1.shape[1], v2.shape[1]
+    L = lcm(L1, L2)
     bound = (int(np.abs(v1).max(initial=1)) * int(np.abs(v2).max(initial=1))
-             * int(sizes.max(initial=1)) * len(sizes) * min(v1.shape[1], v2.shape[1]))
+             * int(sizes.max(initial=1)) * len(sizes) * min(L1, L2))
     if bound >= (1 << 62):
         raise OverflowError("exact orbit sum would overflow int64")
     outer = v1.T @ (sizes[:, None] * v2)
     i, j = np.indices(outer.shape)
     out = np.zeros(L, dtype=np.int64)
-    np.add.at(out, (i * (L // v1.shape[1]) + j * (L // v2.shape[1])) % L, outer)
-    return CycNumber(L, [Fraction(int(c)) for c in out])
+    np.add.at(out, (i * (L // L1) + j * (L // L2)) % L, outer)
+    return out
 
 
-def _theta_pair_inner_products(m: int, mprimes: list[int], level: int, q: int,
-                               complex_mode: bool) -> list:
-    """<theta_m^- theta_{m'}^+, 1_N> on SL2(Z/qZ) for each m', via factored sums."""
-    primes = sorted(factorize(q))
+def _theta_pair_inner_products(m: int, mprimes: list[int], level: int,
+                               q: int) -> list[tuple[np.ndarray, int]]:
+    """<theta_m^- theta_{m'}^+, 1_N> on SL2(Z/qZ) for each m', via factored sums.
+
+    Each value is (coordinates reduced mod Phi_L, denominator 4|H|): the
+    per-prime sums are multiplied across primes with the same integer fold,
+    and F1F2 + F1G2 - G1F2 - G1G2 is reduced once, in the power basis.
+    """
     per_prime = []
-    sizes = []
-    for p in primes:
-        q_p = prime_part(q, p)
-        level_p = prime_part(level, p)
-        sp1 = _local_space_of(m, p)
-        sp2s = [_local_space_of(mp, p) for mp in mprimes]
-        sizes.append(gamma0_image_size(level_p, q_p))
-        per_prime.append(_pair_sum_at_prime(q_p, level_p, sp1, sp2s, complex_mode))
     h_size = 1
-    for s in sizes:
-        h_size *= s
+    for p in sorted(factorize(q)):
+        q_p, level_p = prime_part(q, p), prime_part(level, p)
+        h_size *= gamma0_image_size(level_p, q_p)
+        per_prime.append(_pair_sum_at_prime(q_p, level_p, _local_space_of(m, p),
+                                            [_local_space_of(mp, p) for mp in mprimes]))
     values = []
-    for i, mp in enumerate(mprimes):
-        if complex_mode:
-            combo = np.ones(4, dtype=complex)
-            for loc in per_prime:
-                combo = combo * np.asarray(loc[i])
-            total = (combo[0] + combo[1] - combo[2] - combo[3]) / 4.0
-            values.append(total / h_size)
-        else:
-            combo = [CycNumber.rational(1) for _ in range(4)]
-            for loc in per_prime:
-                combo = [a * b for a, b in zip(combo, loc[i])]
-            total = (combo[0] + combo[1] - combo[2] - combo[3]) * Fraction(1, 4)
-            values.append(total * Fraction(1, h_size))
+    for i in range(len(mprimes)):
+        combos = []
+        for k in range(4):
+            vec = per_prime[0][i][k]
+            for loc in per_prime[1:]:
+                vec = _weighted_product_sum(vec[None, :], loc[i][k][None, :])
+            combos.append(vec)
+        total = _int_product(np.array([[1, 1, -1, -1]]), np.stack(combos))[0]
+        # Phi_L(x) = Phi_r(x^s) with r = rad(L), s = L/r: coordinate a*s + b is
+        # x^b (x^s)^a, and (x^s)^a reduces mod Phi_r to rows of a small matrix
+        r = prod(factorize(len(total)))
+        rows = _int_product(_phi_reduction_matrix(r).T, total.reshape(r, -1))
+        values.append((rows.reshape(-1), 4 * h_size))
     return values
 
 
@@ -252,11 +244,17 @@ def _literal_inner_products(m: int, mprimes: list[int], level: int, q: int) -> l
 
 
 def _snap_nonneg_int(value, what: str) -> int:
-    if isinstance(value, CycNumber):
-        try:
-            rat = value.rational_value()
-        except ValueError as exc:
-            raise IntegralityError(f"{what}: value is not rational: {value!r}") from exc
+    """The nonnegative integer an inner product equals, or IntegralityError.
+
+    ``value`` is either (reduced coordinates, denominator) from the exact
+    orbit sum, which must be a nonnegative integer exactly, or a complex
+    number from the literal float average, snapped within FLOAT_TOL.
+    """
+    if isinstance(value, tuple):
+        coords, den = value
+        if np.any(coords[1:]):
+            raise IntegralityError(f"{what}: value is not rational: {coords.tolist()}/{den}")
+        rat = Fraction(int(coords[0]), den)
         if rat.denominator != 1 or rat < 0:
             raise IntegralityError(f"{what}: value {rat} is not a nonnegative integer")
         return int(rat)
@@ -288,8 +286,7 @@ def dim_j1(m: int, level: int, aux: int | None = None, backend: str = "exact",
     if backend == "float":
         vals = _literal_inner_products(m, mprimes, level, q)
     else:
-        vals = _theta_pair_inner_products(m, mprimes, level, q,
-                                          complex_mode=(backend == "crt-float"))
+        vals = _theta_pair_inner_products(m, mprimes, level, q)
     total = 0
     for mp, v in zip(mprimes, vals):
         total += _snap_nonneg_int(v, f"<theta_{m}^- theta_{mp}^+, 1_{level}>")
@@ -332,12 +329,16 @@ def inner_product(h1: CharacterHandle, h2: CharacterHandle, level: int, q: int,
     # float path: fast for theta-kind handles, generic otherwise
     acc = 0j
     n = 0
-    theta_kinds = ("theta", "theta_plus", "theta_minus")
-    fast = h1.kind in theta_kinds and h2.kind in theta_kinds
+    signs = {"theta": 0, "theta_plus": 1, "theta_minus": -1}
+    fast = h1.kind in signs and h2.kind in signs
     for g in gamma0_image(level, q):
         w = word_for(g)
         if fast:
-            acc += _theta_value_complex(h1, w) * _theta_value_complex(h2, w)
+            prod = 1 + 0j
+            for h in (h1, h2):
+                f, gv = get_theta_engine(h.m).fg_complex(w, h.galois)
+                prod *= f if h.kind == "theta" else (f + signs[h.kind] * gv) / 2.0
+            acc += prod
         else:
             acc += (evaluate_character(h1, w).to_complex()
                     * evaluate_character(h2, w).to_complex())
@@ -345,67 +346,40 @@ def inner_product(h1: CharacterHandle, h2: CharacterHandle, level: int, q: int,
     return acc / n
 
 
-def _theta_value_complex(handle: CharacterHandle, word: Sl2Word) -> complex:
-    sign = {"theta": 0, "theta_plus": 1, "theta_minus": -1}[handle.kind]
-    f, g = 1 + 0j, 1 + 0j
-    for sp in local_spaces(handle.m):
-        t = get_trace_table(sp)
-        fv, gv = t.values_complex(word, handle.galois % t.order)
-        f *= fv
-        g *= gv
-    if sign == 0:
-        return f
-    return (f + g) / 2.0 if sign > 0 else (f - g) / 2.0
-
-
 def twisted_pair_inner_products(ks: list[int], level: int, q: int,
                                 twist_pairs: list[tuple[int, int]]):
     """<sigma(theta_k^-) sigma'(theta_{k'}^+), 1_N> for all k, k' and twists.
 
     All k must be 2-powers (the spaces are then their own 2-adic local
-    factors), so one sweep over the level-N image collects the exact trace
-    vectors and every Galois-twisted inner product is read off afterwards by
-    pairing against root-of-unity bases.  Returns a dict keyed by
-    (k_minus, k_plus, a, a') with complex values.
+    factors).  A twisted D_k trace is the trace of D_k(a) on the same word,
+    so each minus-times-plus product is a class function (see the module
+    docstring): one pass over the conjugation orbits of the level-N image
+    collects the exact trace vectors, weighted by orbit size, and every
+    Galois-twisted inner product is read off afterwards by pairing against
+    root-of-unity bases.  Returns a dict keyed by (k_minus, k_plus, a, a')
+    with complex values.
     """
     for k in ks:
         if k & (k - 1):
             raise ValueError("grid evaluation requires 2-power indices")
-    tables = {k: get_trace_table(QuadSpace("D", k)) for k in ks}
-    fs: dict[int, list] = {k: [] for k in ks}
-    gs: dict[int, list] = {k: [] for k in ks}
-    count = 0
-    for g in gamma0_image(level, q):
-        w = word_for(g)
-        for k in ks:
-            t = tables[k]
-            f, gv = t.values(w)
-            fs[k].append(f)
-            gs[k].append(gv)
-        count += 1
-    stacks = {}
+    orbits = _local_words(level, q)
+    sizes = np.array([size for _, size in orbits], dtype=np.int64)
+    minus, plus, orders = {}, {}, {}
     for k in ks:
-        stacks[k] = (np.array(fs[k], dtype=np.int64), np.array(gs[k], dtype=np.int64))
+        t = get_trace_table(QuadSpace("D", k))
+        f, g = np.array([t.values(w) for w, _ in orbits]).transpose(1, 0, 2)
+        minus[k], plus[k], orders[k] = f - g, sizes[:, None] * (f + g), t.order
+    twists = {a for pair in twist_pairs for a in pair}
+    basis = {(k, a): np.exp(2j * np.pi * ((a * np.arange(orders[k])) % orders[k]) / orders[k])
+             for k in ks for a in twists}
+    den = 4 * int(sizes.sum())
     out = {}
-    basis_cache = {}
-
-    def basis(order, a):
-        key = (order, a % order)
-        if key not in basis_cache:
-            basis_cache[key] = np.exp(2j * np.pi * ((a % order) * np.arange(order) % order) / order)
-        return basis_cache[key]
-
     for km in ks:
-        fm, gm = stacks[km]
-        lm = tables[km].order
         for kp in ks:
-            fp, gp = stacks[kp]
-            lp = tables[kp].order
-            # minus x plus = ((F - G)/2) ((F' + G')/2)
-            tens = (fm - gm).T @ (fp + gp) / 4.0  # (lm, lp), exact quarters
+            # minus x plus = ((F - G)/2) ((F' + G')/2), weighted by orbit size
+            tens = _int_product(minus[km].T, plus[kp])  # (lm, lp)
             for (a, ap) in twist_pairs:
-                val = basis(lm, a) @ tens @ basis(lp, ap)
-                out[(km, kp, a, ap)] = val / count
+                out[(km, kp, a, ap)] = basis[(km, a)] @ tens @ basis[(kp, ap)] / den
     return out
 
 
@@ -456,7 +430,7 @@ def umbral_sweep(dataset, budget: int = DEFAULT_BUDGET) -> list[SweepRow]:
     """Settle vanishing of J_{1,m}(N_g) for every bundled class record.
 
     Tries the syntactic hypotheses, then the exponent criterion, then the
-    dimension formula (crt-float backend) within the element budget.  Rows
+    dimension formula (exact backend) within the element budget.  Rows
     whose estimated cost exceeds the budget are reported skipped, never
     guessed.
     """
@@ -475,14 +449,14 @@ def umbral_sweep(dataset, budget: int = DEFAULT_BUDGET) -> list[SweepRow]:
             rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
                                  "exponent", None, True, rec.exceptional, aux=aux))
             continue
-        query = DimQuery(m, level, aux, "crt-float")
+        query = DimQuery(m, level, aux)
         est = estimated_cost(query)
         if est > budget:
             rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
                                  "skipped", None, None, rec.exceptional, aux=aux,
                                  estimated=est))
             continue
-        value = dim_j1(m, level, aux, backend="crt-float")
+        value = dim_j1(m, level, aux)
         rows.append(SweepRow(rec.root_system, rec.class_name, m, level,
                              "dimension", value, value == 0, rec.exceptional,
                              aux=aux, estimated=est))

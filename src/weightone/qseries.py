@@ -353,22 +353,6 @@ def eta_pentagonal(order) -> FourierJacobiSeries:
     return FourierJacobiSeries(24, terms, order)
 
 
-def series_mul(a: FourierJacobiSeries, b: FourierJacobiSeries) -> FourierJacobiSeries:
-    return a * b
-
-
-def series_invert(a: FourierJacobiSeries) -> FourierJacobiSeries:
-    return a.inverse()
-
-
-def rescale_tau(s: FourierJacobiSeries, h: int) -> FourierJacobiSeries:
-    return s.rescale_tau(h)
-
-
-def rescale_z(s: FourierJacobiSeries, h) -> FourierJacobiSeries:
-    return s.rescale_z(h)
-
-
 def theta_quark(a: int, b: int, order) -> FourierJacobiSeries:
     """eta^-1 theta-_{2,1}(tau, az/2) theta-_{2,1}(tau, bz/2) theta-_{2,1}(tau, (a+b)z/2).
 

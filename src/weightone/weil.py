@@ -121,6 +121,7 @@ class WeilRep:
         self.s_mat = ExactCycMatrix.from_entries(rows, L)
         self.minus_perm = np.array([(-x) % n for x in range(n)], dtype=np.int64)
         self._word_cache: dict = {}
+        self._embedded: dict = {}
         if space.kind == "L":
             if (sigma * sigma * sigma * sigma) != 1:
                 raise AssertionError("odd space should have sigma^4 = 1")
@@ -153,12 +154,13 @@ class WeilRep:
 
     # -- complex embeddings -----------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def _embedded_gens(self, galois: int) -> tuple[np.ndarray, np.ndarray]:
-        L = self.order
-        t_phase = np.exp(2j * np.pi * ((galois * self.t_diag) % L) / L)
-        s = self.s_mat.to_complex_array(galois)
-        return t_phase, s
+        gens = self._embedded.get(galois)
+        if gens is None:
+            L = self.order
+            t_phase = np.exp(2j * np.pi * ((galois * self.t_diag) % L) / L)
+            gens = self._embedded[galois] = (t_phase, self.s_mat.to_complex_array(galois))
+        return gens
 
     def evaluate_word_complex(self, words, galois=1) -> np.ndarray:
         """rho(w) under e(1/L) -> e(galois/L) for words with equally many S letters.

@@ -99,6 +99,12 @@ def test_exit_code_usage_error(capsys):
         assert code == 2, argv
 
 
+def test_non_positive_budget_is_a_usage_error(capsys):
+    for budget in ("0", "-5"):
+        code, _ = run(capsys, "--budget", budget, "dim", "--m", "2", "--N", "8")
+        assert code == 2, budget
+
+
 def test_exit_code_budget(capsys):
     code, _ = run(capsys, "--budget", "5", "dim", "--m", "3", "--N", "144")
     assert code == 3

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from weightone.arith import factorize, lcm
-from weightone.cyclotomic import CycNumber
-from weightone.dimension import (BudgetExceeded, DimQuery,
+from weightone.cyclotomic import CycNumber, _phi_reduction_matrix
+from weightone.dimension import (BudgetExceeded, DimQuery, IntegralityError,
+                                 _literal_inner_products, _snap_nonneg_int,
                                  _theta_pair_inner_products,
                                  _weighted_product_sum,
                                  admissible_divisors, default_aux, dim_j1,
@@ -56,7 +57,8 @@ def _literal_pair_inner_products(m, mprimes, level, q):
     """<theta_m^- theta_{m'}^+, 1_N> as the exact average over every element.
 
     Values are integer coordinate vectors in Q(zeta_L), multiplied modulo
-    x^L - 1 and reduced only at the end.
+    x^L - 1 and reduced mod Phi_L only at the end; each is returned as
+    (reduced coordinates, denominator 4|H|).
     """
     tables = {k: [get_trace_table(sp) for sp in local_spaces(k)] for k in {m, *mprimes}}
     L = lcm(*(t.order for ts in tables.values() for t in ts))
@@ -85,18 +87,20 @@ def _literal_pair_inner_products(m, mprimes, level, q):
         for i, mp in enumerate(mprimes):
             totals[i] += mul(left, twice_theta(mp, w, 1))
         count += 1
-    return [CycNumber(L, [Fraction(int(c), 4 * count) for c in t]) for t in totals]
+    return [(t @ _phi_reduction_matrix(L), 4 * count) for t in totals]
 
 
 def test_orbit_sums_equal_the_literal_average():
     for (m, n, aux) in ((8, 32, 8), (9, 9, 9), (2, 8, 2), (6, 12, 6), (4, 16, 4)):
         mprimes = admissible_divisors(aux)
-        orbit = _theta_pair_inner_products(m, mprimes, n, 4 * aux, complex_mode=False)
+        orbit = _theta_pair_inner_products(m, mprimes, n, 4 * aux)
         literal = _literal_pair_inner_products(m, mprimes, n, 4 * aux)
-        assert orbit == literal, (m, n, aux)
-        crt = _theta_pair_inner_products(m, mprimes, n, 4 * aux, complex_mode=True)
-        for c, v in zip(crt, literal):
-            assert abs(c - v.to_complex()) < 1e-9, (m, n, aux)
+        assert len(orbit) == len(literal)
+        for (c, den), (want, want_den) in zip(orbit, literal):
+            assert den == want_den and np.array_equal(c, want), (m, n, aux)
+        flt = _literal_inner_products(m, mprimes, n, 4 * aux)
+        for (c, den), v in zip(orbit, flt):
+            assert abs(c[0] / den - v) < 1e-9, (m, n, aux)
 
 
 def test_weighted_product_sum_and_its_overflow_guard():
@@ -109,12 +113,35 @@ def test_weighted_product_sum_and_its_overflow_guard():
         x = CycNumber(4, [Fraction(int(c)) for c in v1[r]])
         y = CycNumber(6, [Fraction(int(c)) for c in v2[r]])
         want = want + CycNumber.rational(int(sizes[r])) * x * y
-    assert _weighted_product_sum(v1, v2, sizes, 12) == want
+    got = _weighted_product_sum(v1, v2, sizes)
+    assert got.dtype == np.int64 and got.shape == (12,)
+    assert CycNumber(12, [Fraction(int(c)) for c in got]) == want
+    # without weights every row counts once
+    assert np.array_equal(_weighted_product_sum(v1, v2),
+                          _weighted_product_sum(v1, v2, np.ones(5, dtype=np.int64)))
     # each entry and the plain product fit int64, but the fold of min(L1, L2)
     # products into one coordinate would not
     big = np.full((1, 4), 1 << 30, dtype=np.int64)
     with pytest.raises(OverflowError):
-        _weighted_product_sum(big, big, np.array([1 << 1], dtype=np.int64), 4)
+        _weighted_product_sum(big, big, np.array([1 << 1], dtype=np.int64))
+    # the cross-prime product of two per-prime sums: each sum fits int64,
+    # their product into Z[zeta_12] would wrap
+    a, b = np.full((1, 4), 1 << 31, dtype=np.int64), np.full((1, 3), 1 << 31, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _weighted_product_sum(a, b)
+    a, b = a >> 2, b >> 2
+    prod = _weighted_product_sum(a, b)
+    assert prod.shape == (12,) and set(prod.tolist()) == {1 << 58}
+
+
+def test_exact_snap_accepts_only_nonnegative_integers():
+    assert _snap_nonneg_int((np.array([8, 0, 0, 0]), 4), "v") == 2
+    assert _snap_nonneg_int((np.array([0, 0]), 12), "v") == 0
+    for coords in ([4, 4, 0, 0],    # not rational
+                   [2, 0, 0, 0],    # 1/2
+                   [-4, 0, 0, 0]):  # -1
+        with pytest.raises(IntegralityError):
+            _snap_nonneg_int((np.array(coords), 4), "v")
 
 def test_vanishing_criteria_imply_zero_dimension():
     # wherever the syntactic lemma or the exponent criterion says "vanishes",
@@ -210,6 +237,16 @@ def test_twisted_grid_matches_inner_product():
     vals = twisted_pair_inner_products([2], 2, 8, [(1, 1)])
     direct = inner_product(theta_handle(2, -1), theta_handle(2, 1), 2, 8)
     assert abs(vals[(2, 2, 1, 1)] - complex(direct)) < 1e-9
+    # every pair of odd twists mod 8 over 1_32 in SL2(Z/32); eight entries are
+    # 1, so a wrong orbit weight shows
+    pairs = [(a, ap) for a in (1, 3, 5, 7) for ap in (1, 3, 5, 7)]
+    grid = twisted_pair_inner_products([4, 8], 32, 32, pairs)
+    assert len(grid) == 64
+    for (km, kp, a, ap), v in grid.items():
+        want = inner_product(theta_handle(km, -1, a), theta_handle(kp, 1, ap), 32, 32,
+                             backend="float")
+        assert abs(v - want) < 1e-9, (km, kp, a, ap)
+    assert sum(abs(v - 1) < 1e-9 for v in grid.values()) == 8
 
 
 def test_inner_product_float_backend_generic_handles():
