@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, AssertionError) as exc:
-        # failed integrality or snap certificates, int64 headroom guards
+        # failed integrality, lift or snap certificates, int64 headroom guards
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,9 @@ as a cyclotomic element (via quadratic Gauss sums), so every Weil matrix for a
 quadratic space of size n lives in a single field Q(zeta_L).
 
 The module also provides an integer-vector matrix type (ExactCycMatrix) used
-for exact linear algebra over Z[zeta_L] with a common denominator; this is the
-workhorse behind representation matrices and trace tables.
+for exact linear algebra over Z[zeta_L] with a common denominator, and the
+embeddings of Z[zeta_L] into a prime field F_ell (PrimeEmbeddings) through
+which trace tables evaluate words and recover certified integer coordinates.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .arith import factorize
 
 TWO_PI = 2.0 * math.pi
 _EPS = 2.3e-16
@@ -364,6 +367,15 @@ def _phi_reduction_matrix(L: int) -> np.ndarray:
     return out
 
 
+def _int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over int64, refusing operands whose product could overflow."""
+    ma = int(np.abs(a).max(initial=1))
+    mb = int(np.abs(b).max(initial=1))
+    if ma * mb * a.shape[-1] >= (1 << 62):
+        raise OverflowError("exact integer product would overflow int64")
+    return a @ b
+
+
 def _vec_from_cyc(x: CycNumber, L: int) -> tuple[np.ndarray, int]:
     x = x.promoted(L)
     den = 1
@@ -382,22 +394,6 @@ class ExactCycMatrix:
         self.order = order
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_entries(entries: Sequence[Sequence[CycNumber]], order: int) -> "ExactCycMatrix":
-        n = len(entries)
-        den = 1
-        grids = []
-        for row in entries:
-            for x in row:
-                _, d = _vec_from_cyc(x, order)
-                den = den * d // gcd(den, d)
-        num = np.zeros((n, n, order), dtype=np.int64)
-        for i, row in enumerate(entries):
-            for j, x in enumerate(row):
-                v, d = _vec_from_cyc(x, order)
-                num[i, j] = v * (den // d)
-        return ExactCycMatrix(order, num, den)
 
     @staticmethod
     def identity(n: int, order: int) -> "ExactCycMatrix":
@@ -456,15 +452,22 @@ class ExactCycMatrix:
         return CycNumber(self.order, [Fraction(int(c), self.den) for c in v])
 
     def __eq__(self, other) -> bool:
+        """Entrywise equality in Q(zeta_L), decided in integers.
+
+        The cross-multiplied difference num * other.den - other.num * den is
+        reduced mod Phi_L; both steps refuse to run where int64 could wrap.
+        """
         if not isinstance(other, ExactCycMatrix):
             return NotImplemented
+        assert self.order == other.order
         if self.n != other.n:
             return False
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.entry(i, j) != other.entry(i, j):
-                    return False
-        return True
+        ma = int(np.abs(self.num).max(initial=1)) * other.den
+        mb = int(np.abs(other.num).max(initial=1)) * self.den
+        if max(ma, mb) >= (1 << 62):
+            raise OverflowError("exact matrix comparison would overflow int64")
+        diff = self.num * other.den - other.num * self.den
+        return not _int_product(diff, _phi_reduction_matrix(self.order)).any()
 
     __hash__ = None
 
@@ -479,3 +482,77 @@ class ExactCycMatrix:
         ang = TWO_PI * ((galois * np.arange(red.shape[-1])) % L) / L
         basis = np.exp(1j * ang)
         return red.astype(float) @ basis / self.den
+
+
+# ---------------------------------------------------------------------------
+# Multimodular evaluation: Z[zeta_L] embedded into F_ell
+# ---------------------------------------------------------------------------
+
+def _choose_prime(L: int) -> int:
+    """Largest prime ell = 1 mod L with L * (ell - 1)^2 < 2^63.
+
+    Every product used mod ell sums at most L terms below ell^2, so this
+    keeps each one inside int64.
+    """
+    k = math.isqrt(((1 << 63) - 1) // L) // L
+    while k > 0:
+        ell = k * L + 1
+        if all(ell % p for p in range(2, math.isqrt(ell) + 1)):
+            return ell
+        k -= 1
+    raise ArithmeticError(f"no prime 1 mod {L} fits int64 arithmetic")
+
+
+class PrimeEmbeddings:
+    """The phi(L) ring maps zeta_L -> omega^u, u a unit mod L, of Z[zeta_L] into F_ell.
+
+    ell = 1 mod L and omega has exact order L in F_ell.  An algebraic integer
+    x with reduced coordinates c (x = sum_{j < phi(L)} c_j zeta_L^j) is
+    recovered from its values v_u by the closed-form inverse
+    c = R^T (L^-1 sum_u omega^(-k u) v_u)_k mod ell, R = _phi_reduction_matrix(L):
+    the bracket is the length-L vector a_k = L^-1 Tr(zeta^-k x), whose value
+    is x.  Over C the same identity bounds |c_j| by
+    n * phi(L) / L * max_j sum_k |R[k, j]| whenever every complex embedding
+    of x has modulus at most n, so the symmetric lift mod ell is certified
+    when ell exceeds twice that bound.
+    """
+
+    def __init__(self, L: int):
+        self.L = L
+        self.ell = ell = _choose_prime(L)
+        omega = next(w for w in (pow(h, (ell - 1) // L, ell) for h in range(2, ell))
+                     if all(pow(w, L // p, ell) != 1 for p in factorize(L)))
+        self.units = np.array([u for u in range(L) if gcd(u, L) == 1], dtype=np.int64)
+        self.powers = np.array([pow(omega, k, ell) for k in range(L)], dtype=np.int64)
+        ku = np.outer(np.arange(L), self.units)
+        self.forward = self.powers[ku % L]  # (L, phi): omega^(k u)
+        red = _phi_reduction_matrix(L)
+        self.colsum = int(np.abs(red).sum(axis=0).max())
+        back = red.T % ell @ self.powers[-ku % L] % ell  # (phi, phi): R^T omega^(-k u)
+        self.inverse = back * pow(L, -1, ell) % ell
+
+    def embed(self, coords: np.ndarray) -> np.ndarray:
+        """Values (..., phi) mod ell of integer power-basis coordinates (..., L)."""
+        return coords % self.ell @ self.forward % self.ell
+
+    def certify(self, n: int):
+        """Refuse unless ell > 2 * n * phi(L) / L * colsum, the coordinate bound."""
+        if self.ell * self.L <= 2 * n * len(self.units) * self.colsum:
+            raise ArithmeticError(f"prime {self.ell} does not certify coordinates "
+                                  f"of values bounded by {n} in Q(zeta_{self.L})")
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """Integer coordinates, padded to length L, from values (..., phi) mod ell.
+
+        Exact for algebraic integers inside the bound passed to ``certify``.
+        """
+        c = values @ self.inverse.T % self.ell
+        c = np.where(c > self.ell // 2, c - self.ell, c)
+        out = np.zeros(c.shape[:-1] + (self.L,), dtype=np.int64)
+        out[..., :c.shape[-1]] = c
+        return out
+
+
+@lru_cache(maxsize=None)
+def prime_embeddings(L: int) -> PrimeEmbeddings:
+    return PrimeEmbeddings(L)

@@ -52,10 +52,10 @@ from math import gcd, prod
 import numpy as np
 
 from .arith import divisors, factorize, is_squarefree, lcm, prime_part
-from .cyclotomic import CycNumber, _phi_reduction_matrix
+from .cyclotomic import CycNumber, _int_product, _phi_reduction_matrix
 from .sl2 import (Sl2Word, conjugation_orbits, gamma0_image, gamma0_image_size,
                   word_for)
-from .weil import (CharacterHandle, QuadSpace, _int_product, evaluate_character,
+from .weil import (CharacterHandle, QuadSpace, evaluate_character,
                    get_theta_engine, get_trace_table, get_weil_rep, local_spaces)
 
 BACKENDS = ("exact", "float", "crt-float")

@@ -22,13 +22,15 @@ and P-minus trace as well.  A twisted table is the base table with
 coordinate j moved to a*j mod L (a extended to a unit mod the ambient order
 L) and reduced mod Phi_L again, in integers.
 
-Table values are algebraic integers.  Odd base tables reduce the exact BFS
-traces mod Phi_L in one integer product and certify that each coordinate is
-divisible by the common denominator.  Even-space entries are produced by
-evaluating the word at all complex embeddings of the (2-power) ambient field
-and snapping the recovered integer coordinates; the recovery matrix is a
-scaled isometry there, and any coordinate further than 1e-6 from an integer
-is a hard error rather than a rounding.
+Table values are algebraic integers, filled one key at a time on a lookup
+miss.  A base table evaluates the canonical word of the key in F_ell, under
+every embedding zeta_L -> omega^u (cyclotomic.PrimeEmbeddings), as int64
+matrix products mod ell, and recovers the reduced coordinates by a closed-form
+inverse.  The symmetric lift is certified: F and G have modulus at most n at
+every complex embedding (each Galois conjugate of the representation is the
+unitary Weil representation of a twist), which bounds each coordinate, and
+ell exceeds twice that bound.  Lift classes are compared on D_1 in the same
+kind of field, so the exact path uses no floating point.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ import numpy as np
 
 from . import cyclotomic as cyc
 from .arith import factorize, lcm, prime_part
-from .cyclotomic import CycNumber, ExactCycMatrix, embed_root, galois_apply
+from .cyclotomic import CycNumber, ExactCycMatrix, _int_product, embed_root, galois_apply
 from .sl2 import Sl2Mod, Sl2Word, word_for
-
-SNAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,17 @@ class WeilRep:
             j //= 2
             base //= 2
         sigma = embed_root(base, j).promoted(L)
-        root = cyc.sqrt_as_cyclotomic(n).promoted(L)
-        inv_sqrt = _invert_sqrt(root, n, L)
+        inv_sqrt = cyc.sqrt_as_cyclotomic(n).promoted(L) * Fraction(1, n)  # sqrt(n) / n
         self.t_diag = np.array([int(space.q(x) * L) % L for x in range(n)], dtype=np.int64)
-        rows = []
-        for y in range(n):
-            row = []
-            for x in range(n):
-                phase = embed_root(L, int(-space.b(x, y) * L) % L)
-                row.append(sigma * inv_sqrt * phase)
-            rows.append(row)
-        self.s_mat = ExactCycMatrix.from_entries(rows, L)
+        # S[y, x] = sigma |A|^-1/2 e(-B(x, y)): one coordinate vector, rolled
+        coords, den = cyc._vec_from_cyc(sigma * inv_sqrt, L)
+        x = np.arange(n)
+        shift = (-2 * space.a * (L // space.scale) * np.outer(x, x)) % L
+        self.s_mat = ExactCycMatrix(L, coords[(np.arange(L) - shift[:, :, None]) % L], den)
         self.minus_perm = np.array([(-x) % n for x in range(n)], dtype=np.int64)
         self._word_cache: dict = {}
         self._embedded: dict = {}
+        self._modular_s = None
         if space.kind == "L":
             if (sigma * sigma * sigma * sigma) != 1:
                 raise AssertionError("odd space should have sigma^4 = 1")
@@ -151,6 +148,34 @@ class WeilRep:
         """(F, G) = (tr rho(w), tr rho(w) P-) computed exactly."""
         mat = self.evaluate_word(word)
         return mat.trace(), mat.trace_perm(self.minus_perm)
+
+    # -- embeddings into F_ell ----------------------------------------------------
+
+    def modular_s(self) -> np.ndarray:
+        """S under every embedding zeta_L -> omega^u into F_ell, shape (phi(L), n, n)."""
+        if self._modular_s is None:
+            field = cyc.prime_embeddings(self.order)
+            s = field.embed(self.s_mat.num) * pow(self.s_mat.den, -1, field.ell) % field.ell
+            self._modular_s = s.transpose(2, 0, 1).copy()
+        return self._modular_s
+
+    def modular_trace_pair(self, word: Sl2Word) -> np.ndarray:
+        """(F, G) of the word under every embedding zeta_L -> omega^u into F_ell.
+
+        Returns shape (2, phi(L)), columns ordered as the field's units.
+        """
+        field = cyc.prime_embeddings(self.order)
+        ell, L, n = field.ell, self.order, self.space.size
+        s = self.modular_s()
+        t_res = np.outer(field.units, self.t_diag) % L
+        x = np.arange(n)
+        m = np.zeros((len(field.units), n, n), dtype=np.int64)
+        m[:, x, x] = field.powers[t_res * word.texps[0] % L]
+        for t in word.texps[1:]:
+            m = m @ s % ell
+            if t:
+                m = m * field.powers[t_res * t % L][:, None, :] % ell
+        return np.stack([m[:, x, x].sum(axis=1), m[:, self.minus_perm, x].sum(axis=1)]) % ell
 
     # -- complex embeddings -----------------------------------------------------
 
@@ -191,11 +216,6 @@ class WeilRep:
         return m
 
 
-def _invert_sqrt(root: CycNumber, n: int, L: int) -> CycNumber:
-    """1/sqrt(n) given sqrt(n), using sqrt(n)^2 = n."""
-    return root.promoted(L) * Fraction(1, n)
-
-
 @lru_cache(maxsize=None)
 def get_weil_rep(space: QuadSpace) -> WeilRep:
     return WeilRep(space)
@@ -228,25 +248,32 @@ _D1 = QuadSpace("D", 1)
 
 
 @lru_cache(maxsize=None)
-def _d1_gens_complex() -> tuple[np.ndarray, np.ndarray]:
+def _d1_mod() -> tuple:
+    """D_1 under zeta_8 -> omega in F_ell, as plain ints: (ell, powers, T exponents, S)."""
     rep = get_weil_rep(_D1)
-    t_phase, s = rep._embedded_gens(1)
-    return t_phase, s
+    field = cyc.prime_embeddings(rep.order)
+    s = rep.modular_s()[0].tolist()  # units[0] = 1: zeta_8 -> omega
+    return field.ell, field.powers.tolist(), rep.t_diag.tolist(), s
 
 
-def _d1_eval(word: Sl2Word) -> np.ndarray:
-    t_phase, s = _d1_gens_complex()
-    m = np.diag(t_phase ** word.texps[0])
+def _d1_image(word: Sl2Word) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of the D_1 matrix of the word, mod ell."""
+    ell, pw, (t0, t1), ((s00, s01), (s10, s11)) = _d1_mod()
+    L = len(pw)
+    t = word.texps[0]
+    a, b, c, d = pw[t * t0 % L], 0, 0, pw[t * t1 % L]
     for t in word.texps[1:]:
-        m = m @ s
+        a, b, c, d = ((a * s00 + b * s10) % ell, (a * s01 + b * s11) % ell,
+                      (c * s00 + d * s10) % ell, (c * s01 + d * s11) % ell)
         if t:
-            m = m * (t_phase ** t)[None, :]
-    return m
+            p0, p1 = pw[t * t0 % L], pw[t * t1 % L]
+            a, b, c, d = a * p0 % ell, b * p1 % ell, c * p0 % ell, d * p1 % ell
+    return a, b, c, d
 
 
 @lru_cache(maxsize=None)
-def _d1_canonical(mat_mod4: tuple[int, int, int, int]) -> np.ndarray:
-    return _d1_eval(word_for(Sl2Mod(4, *mat_mod4)))
+def _d1_canonical(mat_mod4: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    return _d1_image(word_for(Sl2Mod(4, *mat_mod4)))
 
 
 def lift_class(word: Sl2Word) -> int:
@@ -254,49 +281,24 @@ def lift_class(word: Sl2Word) -> int:
 
     The two metaplectic lifts of a matrix act by opposite signs in every
     D-type Weil representation, and already do so on the 2-dimensional D_1
-    representation, which is what gets compared here (entries of a unitary
-    2x2 matrix have magnitude >= 1/2 somewhere, so the sign is read off with
-    a wide margin).
+    representation, which is what gets compared here, exactly, in F_ell.
+    An invertible matrix is never congruent to its own negative mod an odd
+    prime, so the two cases cannot be confused.
     """
     a, b, c, d = word.mat()
     ref = _d1_canonical((a % 4, b % 4, c % 4, d % 4))
-    cur = _d1_eval(word)
-    idx = int(np.argmax(np.abs(ref)))
-    ratio = cur.flat[idx] / ref.flat[idx]
-    if abs(ratio - 1) < 1e-6:
+    cur = _d1_image(word)
+    if cur == ref:
         return 1
-    if abs(ratio + 1) < 1e-6:
+    ell = _d1_mod()[0]
+    if all((x + y) % ell == 0 for x, y in zip(cur, ref)):
         return -1
-    raise ArithmeticError("lift-class comparison lost precision")
+    raise ArithmeticError("word acts as neither lift of its matrix on D_1")
 
 
 # ---------------------------------------------------------------------------
 # Trace tables
 # ---------------------------------------------------------------------------
-
-def _int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over int64, refusing operands whose product could overflow."""
-    ma = int(np.abs(a).max(initial=1))
-    mb = int(np.abs(b).max(initial=1))
-    if ma * mb * a.shape[-1] >= (1 << 62):
-        raise OverflowError("exact trace reduction would overflow int64")
-    return a @ b
-
-
-def _reduce_traces(raw: np.ndarray, den: np.ndarray, L: int) -> np.ndarray:
-    """Rows raw[k] / den[k] in the length-L power basis, reduced mod Phi_L.
-
-    Values are algebraic integers, so every reduced coordinate must be
-    divisible by its row's denominator; anything else is a hard error.  The
-    result is padded back to length L.
-    """
-    red = _int_product(raw, cyc._phi_reduction_matrix(L))
-    if np.any(red % den[:, None]):
-        raise AssertionError("trace value is not an algebraic integer")
-    out = np.zeros(raw.shape, dtype=np.int64)
-    out[:, :red.shape[1]] = red // den[:, None]
-    return out
-
 
 def _twist_rows(rows: np.ndarray, galois: int, L: int) -> np.ndarray:
     """Apply e(j/L) -> e(galois*j/L) to integer coordinate rows, reduced mod Phi_L."""
@@ -311,14 +313,18 @@ class TraceTable:
     """(F, G) trace values of one local space, keyed by local data of a word.
 
     F is the plain trace and G the P-minus-twisted trace; both are stored as
-    integer coordinate vectors in the ambient cyclotomic field.
+    integer coordinate vectors in the ambient cyclotomic field, keyed by the
+    matrix modulo the conductor and filled on a lookup miss.  A D-type entry
+    also stores the lift class of its canonical word, since the two lifts of
+    a matrix differ by the central S^4, which acts as -1 on every D-type
+    space; L-type representations are genuine and their entries carry none.
 
-    Exact values are built once per (kind, m), for the base space with a = 1.
-    A space whose a is a unit mod the conductor takes the Galois conjugate of
-    the base table under e(1/conductor) -> e(a/conductor) (exact, see the
-    module docstring) and builds no Weil representation of its own: odd
-    tables are twisted whole, even entries per key on a lookup miss.  Any
-    other a builds directly, which rejects a degenerate space.
+    Exact values are computed only for the base space of each (kind, m), the
+    one with a = 1, by the F_ell evaluator with its integer certificate (see
+    the module docstring).  A space whose a is a unit mod the conductor takes
+    each entry as the Galois conjugate of the base entry under
+    e(1/conductor) -> e(a/conductor) and builds no Weil representation of
+    its own.  Any other a builds directly, which rejects a degenerate space.
     """
 
     def __init__(self, space: QuadSpace):
@@ -333,83 +339,20 @@ class TraceTable:
             self._galois = _extend_galois(space.a, space.conductor, self.order)
         else:
             self.rep = get_weil_rep(space)
-        if space.kind == "L" and space.m > 1:
-            if self._base is None:
-                self._build_odd_table()
-            else:
-                self._twist_odd_table()
-
-    # -- odd spaces: bulk exact BFS over SL2(Z/m) -------------------------------
-
-    def _build_odd_table(self):
-        m = self.space.m
-        n = self.space.size
-        rep = self.rep
-        cols = np.arange(n)
-        keys, f_raw, g_raw, dens = [], [], [], []
-
-        def record(g: Sl2Mod, mat: ExactCycMatrix):
-            keys.append(g.mat())
-            f_raw.append(mat.num.diagonal().sum(axis=-1))
-            g_raw.append(mat.num[rep.minus_perm, cols].sum(axis=0))
-            dens.append(mat.den)
-
-        start = Sl2Mod(m, 1, 0, 0, 1)
-        seen = {start.mat()}
-        frontier = [(start, ExactCycMatrix.identity(n, self.order))]
-        record(*frontier[0])
-        gens = [(Sl2Mod(m, 1, 1, 0, 1), "T"), (Sl2Mod(m, 0, -1, 1, 0), "S")]
-        while frontier:
-            nxt = []
-            for g, base in frontier:
-                for h, tag in gens:
-                    gh = g.mul(h)
-                    if gh.mat() in seen:
-                        continue
-                    seen.add(gh.mat())
-                    if tag == "T":
-                        mat = base.mul_diag_power(rep.t_diag, 1)
-                    else:
-                        mat = base @ rep.s_mat
-                    record(gh, mat)
-                    nxt.append((gh, mat))
-            frontier = nxt
-        k = len(keys)
-        red = _reduce_traces(np.stack(f_raw + g_raw), np.array(dens * 2, dtype=np.int64),
-                             self.order)
-        for i, key in enumerate(keys):
-            self._table[key] = (red[i], red[k + i])
-
-    def _twist_odd_table(self):
-        base = self._base._table
-        keys = list(base)
-        twisted = _twist_rows(np.stack([v for key in keys for v in base[key]]),
-                              self._galois, self.order)
-        for i, key in enumerate(keys):
-            self._table[key] = (twisted[2 * i], twisted[2 * i + 1])
-
-    # -- queries ---------------------------------------------------------------
+            cyc.prime_embeddings(self.order).certify(space.size)
 
     def values(self, word: Sl2Word) -> tuple[np.ndarray, np.ndarray]:
         """Exact (F, G) integer coordinate vectors for the word."""
-        if self.space.kind == "L":
-            if self.space.m == 1:
-                one = np.zeros(self.order, dtype=np.int64)
-                one[0] = 1
-                return one, one
-            a, b, c, d = word.mat()
-            m = self.space.m
-            return self._table[(a % m, b % m, c % m, d % m)]
         cond = self.space.conductor
         a, b, c, d = word.mat()
         key = (a % cond, b % cond, c % cond, d % cond)
         entry = self._table.get(key)
         if entry is None:
-            entry = self._even_entry(key)
-            self._table[key] = entry
+            entry = self._table[key] = self._even_entry(key)
         bit0, f, g = entry
-        s = lift_class(word) * bit0
-        return (f, g) if s == 1 else (-f, -g)
+        if bit0 is None or lift_class(word) == bit0:
+            return f, g
+        return -f, -g
 
     def values_complex(self, word: Sl2Word, galois: int = 1) -> tuple[complex, complex]:
         f, g = self.values(word)
@@ -421,9 +364,8 @@ class TraceTable:
             self._complex[key] = basis
         return complex(f @ basis), complex(g @ basis)
 
-    # -- even spaces: per-key certified multi-embedding snap ---------------------
-
-    def _even_entry(self, key) -> tuple[int, np.ndarray, np.ndarray]:
+    def _even_entry(self, key) -> tuple[int | None, np.ndarray, np.ndarray]:
+        """(lift class or None, F, G) at the canonical word of ``key``, for either kind."""
         if self._base is not None:
             # the lift class depends only on the word, so bit0 carries over
             base = self._base._table
@@ -433,42 +375,9 @@ class TraceTable:
             bit0, f, g = entry
             f, g = _twist_rows(np.stack([f, g]), self._galois, self.order)
             return bit0, f, g
-        cond = self.space.conductor
-        L = self.order
-        assert L & (L - 1) == 0, "even-space ambient order must be a 2-power"
-        w0 = word_for(Sl2Mod(cond, *key))
-        bit0 = lift_class(w0)
-        units = [a for a in range(1, L, 2) if a <= L // 2] if L > 2 else [1]
-        n = self.space.size
-        mats = self.rep.evaluate_word_complex([w0] * len(units), units)
-        f_emb = np.trace(mats, axis1=1, axis2=2)
-        g_emb = mats[:, self.rep.minus_perm, np.arange(n)].sum(axis=1)
-        f = _snap_two_power(f_emb, units, L)
-        g = _snap_two_power(g_emb, units, L)
-        return bit0, f, g
-
-
-def _snap_two_power(emb_values: np.ndarray, units: list[int], L: int) -> np.ndarray:
-    """Recover integer coordinates of an algebraic integer in Z[zeta_L], L = 2^k.
-
-    emb_values[i] is the value under e(1/L) -> e(units[i]/L); the remaining
-    embeddings are complex conjugates.  For 2-power L the embedding matrix on
-    the degree-phi(L) power basis is a scaled isometry, so recovery is stable;
-    coordinates further than SNAP_TOL from integers raise.
-    """
-    phi = max(L // 2, 1)
-    js = np.arange(phi)
-    coords = np.zeros(phi)
-    for a, u in zip(units, emb_values):
-        w = u * np.exp(-2j * np.pi * ((a * js) % L) / L)
-        coords += 2.0 * w.real if L > 2 and (L - a) != a else w.real
-    coords /= phi
-    snapped = np.rint(coords)
-    if np.max(np.abs(coords - snapped)) > SNAP_TOL:
-        raise ArithmeticError("certified integer snap failed; table value rejected")
-    out = np.zeros(L, dtype=np.int64)
-    out[:phi] = snapped.astype(np.int64)
-    return out
+        w0 = word_for(Sl2Mod(self.space.conductor, *key))
+        f, g = cyc.prime_embeddings(self.order).lift(self.rep.modular_trace_pair(w0))
+        return (lift_class(w0) if self.space.kind == "D" else None), f, g
 
 
 @lru_cache(maxsize=None)
@@ -724,7 +633,7 @@ def _extend_galois(a: int, cond: int, order: int) -> int:
 def _trace_against(rep: WeilRep, word: Sl2Word, knum: np.ndarray, kden: int) -> CycNumber:
     """tr(rho(word)^T K) for a rational symmetric matrix K = knum/kden."""
     mat = rep.evaluate_word(word)
-    vec = np.einsum("yx,yxl->l", knum, mat.num)
+    vec = _int_product(knum.reshape(1, -1), mat.num.reshape(knum.size, -1))[0]
     return CycNumber(rep.order, [Fraction(int(c), mat.den * kden) for c in vec])
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weightone.cyclotomic import (CycNumber, ExactCycMatrix, PrecisionError,
@@ -127,9 +128,10 @@ def test_equality_vs_numeric_sanity():
 
 def test_exact_matrix_ops():
     i = embed_root(4, 1)
-    one = CycNumber.rational(1)
-    zero = CycNumber.zero()
-    m = ExactCycMatrix.from_entries([[one, i], [zero, one]], 8)
+    num = np.zeros((2, 2, 8), dtype=np.int64)
+    num[0, 0, 0] = num[1, 1, 0] = 1
+    num[0, 1, 2] = 1  # i = e(2/8)
+    m = ExactCycMatrix(8, num, 1)
     sq = m @ m
     assert sq.entry(0, 1) == 2 * i
     assert sq.entry(0, 0) == 1
@@ -140,3 +142,19 @@ def test_exact_matrix_ops():
     complex_m = m.to_complex_array()
     assert abs(complex_m[0, 1] - 1j) < 1e-14
     assert complex_m[1, 0] == 0.0  # exact structural zero survives reduction
+
+
+def test_exact_matrix_equality_in_integers():
+    num = np.zeros((2, 2, 8), dtype=np.int64)
+    num[0, 0, 0] = num[1, 1, 0] = 1
+    num[0, 1, 2] = 1
+    m = ExactCycMatrix(8, num, 1)
+    assert m == ExactCycMatrix(8, 3 * num, 3)  # another denominator
+    alt = num.copy()
+    alt[0, 0, 0], alt[0, 0, 4] = 0, -1  # 1 = -e(4/8)
+    assert m == ExactCycMatrix(8, alt, 1)
+    alt[0, 0, 4] = 1
+    assert m != ExactCycMatrix(8, alt, 1)
+    # 2^62 * 4 wraps to 0 in int64, which would make the two look equal
+    with pytest.raises(OverflowError):
+        _ = ExactCycMatrix(8, 0 * num, 4) == ExactCycMatrix(8, num << 62, 1)

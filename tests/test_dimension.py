@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightone.arith import factorize, lcm
 from weightone.cyclotomic import CycNumber, _phi_reduction_matrix
@@ -48,8 +50,7 @@ def test_admissible_divisors():
 
 
 def test_level_one_vanishing_small():
-    # m = 16 sweeps SL2(Z/64); m = 11 and 13 are left to the slower odd tables
-    for m in (1, 2, 3, 4, 5, 6, 12, 14, 15, 16):
+    for m in (1, 2, 3, 4, 5, 6, 11, 12, 13, 14, 15, 16, 25, 27):
         assert dim_j1(m, 1, m) == 0, m
 
 
@@ -177,6 +178,23 @@ def test_backend_agreement():
 def test_positive_controls_small():
     assert dim_j1(9, 9, 9) == 1
     assert dim_j1(8, 32, 8) == 1
+
+
+# (m, N) whose literal float sweep at the default M stays small
+_SMALL_QUERIES = [(m, n) for m in range(1, 13) for n in (1, 2, 3, 4, 6, 8, 9, 12, 16, 32)
+                  if estimated_cost(DimQuery(m, n, default_aux(m, n), "float")) <= 12_000]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(_SMALL_QUERIES), st.sampled_from((2, 3)))
+def test_dimension_properties(query, k):
+    # exact = float, independence of the admissible M, and N | N' => dim N <= dim N'
+    m, n = query
+    aux = default_aux(m, n)
+    dim = dim_j1(m, n, aux)
+    assert dim_j1(m, n, aux, backend="float") == dim
+    assert dim_j1(m, n, k * aux) == dim
+    assert dim <= dim_j1(m, k * n)
 
 
 def test_monotonicity_in_level():

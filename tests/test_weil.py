@@ -6,9 +6,14 @@ from math import gcd
 import numpy as np
 import pytest
 
-from weightone.cyclotomic import CycNumber, ExactCycMatrix, embed_root
-from weightone.sl2 import CENTRAL_WORD, Sl2Word, gamma0_image, word_for
-from weightone.weil import (QuadSpace, _extend_galois, alpha_on_prime,
+from weightone import cyclotomic as cyc
+from weightone.cyclotomic import (CycNumber, ExactCycMatrix, embed_root,
+                                  sqrt_as_cyclotomic)
+from weightone.rademacher import coset_reps
+from weightone.sl2 import (CENTRAL_WORD, Sl2Word, gamma0_image, word_decompose,
+                           word_for)
+from weightone.weil import (QuadSpace, TraceTable, _extend_galois, _trace_against,
+                            alpha_on_prime,
                             evaluate_character, get_theta_engine,
                             get_trace_table, get_weil_rep, lambda_character,
                             lift_class, local_spaces, new_alpha_character,
@@ -44,6 +49,20 @@ def test_d1_generators_explicit():
     root = embed_root(8, 7) * (embed_root(8, 1) + embed_root(8, -1)) * Fraction(1, 2)
     assert s.entry(0, 0) == root and s.entry(0, 1) == root
     assert s.entry(1, 0) == root and s.entry(1, 1) == -root
+
+
+def test_s_matrix_entries():
+    # S[y, x] sqrt|A| = sigma_A e(-B(x, y)), entry by entry in Q(zeta_L)
+    for sp in (QuadSpace("D", 3), QuadSpace("D", 4, 3), QuadSpace("L", 5, 2)):
+        rep = get_weil_rep(sp)
+        s = rep.s_mat
+        L, n = rep.order, sp.size
+        root = sqrt_as_cyclotomic(n)
+        sigma = embed_root(8, rep.sigma_exponent)
+        for y in range(n):
+            for x in range(n):
+                want = sigma * embed_root(L, int(-sp.b(x, y) * L))
+                assert s.entry(y, x) * root == want, (sp, x, y)
 
 
 def test_s_squared_is_scaled_reflection():
@@ -235,7 +254,41 @@ def test_twisted_table_builds_no_rep_and_shares_base():
     twisted = get_trace_table(QuadSpace("L", 5, 2))
     assert twisted._base is base
     assert twisted.rep is None
-    assert set(twisted._table) == set(base._table)
+    for w in SAMPLE_WORDS:
+        twisted.values(w)
+    assert twisted._table and set(twisted._table) <= set(base._table)
+    # entries are filled on demand, one per key asked for
+    fresh = TraceTable(QuadSpace("L", 9))
+    for w in SAMPLE_WORDS:
+        fresh.values(w)
+    assert len(fresh._table) == len({tuple(x % 9 for x in w.mat()) for w in SAMPLE_WORDS})
+
+
+def test_lift_certificate_needs_a_prime_above_twice_the_bound(monkeypatch):
+    # every prime in use certifies its lift: L (ell - 1)^2 < 2^63 and
+    # ell > 2 n phi(L) / L * max_j sum_k |R[k, j]|, with n <= L / 2
+    for L in (8, 12, 16, 20, 28, 32, 36, 44, 52, 64, 100, 108):
+        field = cyc.prime_embeddings(L)
+        assert (field.ell - 1) % L == 0 and L * (field.ell - 1) ** 2 < 2 ** 63
+        field.certify(L // 2)
+    # on D_4 (n = 8, L = 16) the bound is 8 * 8 / 16 * 2 = 8: a prime of at
+    # most 16 cannot certify a symmetric lift, and the table refuses to start
+    field = cyc.PrimeEmbeddings(16)
+    monkeypatch.setattr(cyc, "prime_embeddings", lambda L: field)
+    monkeypatch.setattr(field, "ell", 16)
+    with pytest.raises(ArithmeticError, match="certify"):
+        TraceTable(QuadSpace("D", 4))
+    monkeypatch.setattr(field, "ell", 17)
+    TraceTable(QuadSpace("D", 4))
+
+
+def test_trace_against_refuses_int64_overflow():
+    # the identity word: the sum of K's diagonal, 3 * 2^62, would wrap
+    rep = get_weil_rep(QuadSpace("L", 3))
+    knum = np.full((3, 3), 1 << 62, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _trace_against(rep, Sl2Word((0,)), knum, 1)
+    assert _trace_against(rep, Sl2Word((0,)), np.eye(3, dtype=np.int64), 1) == 3
 
 
 def test_non_unit_galois_twist_is_rejected():
@@ -260,6 +313,9 @@ def test_lift_class():
     assert lift_class(w) in (1, -1)
     assert lift_class(w.concat(CENTRAL_WORD)) == -lift_class(w)
     assert lift_class(CENTRAL_WORD) == -lift_class(Sl2Word((0,)))
+    for gamma in coset_reps(3, 20):
+        w = word_decompose(gamma)
+        assert lift_class(w.concat(CENTRAL_WORD)) == -lift_class(w), gamma
 
 
 # -- characters ----------------------------------------------------------------
