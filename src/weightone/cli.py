@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, qseries, umbral, vanishing
+from .arith import divisors
 from .dimension import DEFAULT_BUDGET, BudgetExceeded
 from .rademacher import RademacherParams, cauchy_table, truncated_sum
 from .umbral import DataIntegrityError
@@ -59,6 +60,11 @@ def _parse_order(text: str) -> Fraction:
     return order
 
 
+def _within_budget(work: int, budget: int, what: str):
+    if work > budget:
+        raise BudgetExceeded(f"estimated {what} {work} exceeds {budget}")
+
+
 def _cmd_qexp(args) -> int:
     order = _parse_order(args.order)
     name = args.name
@@ -78,9 +84,7 @@ def _cmd_qexp(args) -> int:
             raise ValueError("quark requires --a and --b")
         series = qseries.theta_quark(args.a, args.b, order)
     elif name == "eta":
-        work = (int(order) + 1) ** 2  # eta_expansion multiplies term by term
-        if work > args.budget:
-            raise BudgetExceeded(f"estimated eta work {work} exceeds {args.budget}")
+        _within_budget((int(order) + 1) ** 2, args.budget, "eta work")  # term products
         series = qseries.eta_expansion(order)
     else:
         series = qseries.explicit_form(name, order)
@@ -98,6 +102,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_vanish(args) -> int:
+    if args.M >= 1:  # residues s times divisors t; 4M alone stops a huge M unfactored
+        _within_budget(4 * args.M, args.budget, "vanish work")
+        _within_budget(4 * args.M * len(divisors(args.M)), args.budget, "vanish work")
     outcome = vanishing.exponent_criterion(args.m, args.M)
     rec = {"m": args.m, "M": args.M,
            "result": "vanishes" if outcome.vanishes else "inconclusive"}
@@ -139,6 +146,8 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_rademacher(args) -> int:
+    if args.n >= 1 and args.K >= 1:  # rows c times columns d
+        _within_budget(-(-args.K // args.n) * (2 * args.K**2 - 1), args.budget, "coset count")
     params = RademacherParams(level=args.n, index=args.m,
                               truncation=args.K, kernel_depth=args.depth)
     tau = complex(args.tau_re, args.tau_im)
@@ -164,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the bundled data directory")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="estimated work ceiling: elements for dim and sweep, "
-                         "(order+1)^2 term products for qexp eta")
+                         "(order+1)^2 term products for qexp eta, 4M|divisors(M)| "
+                         "residues for vanish, ceil(K/n)(2K^2-1) cosets for rademacher")
     sub = ap.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("qexp", help="print an exact q-expansion as JSON")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 from .arith import lcm
 
@@ -115,11 +115,6 @@ class FourierJacobiSeries:
 
     def __sub__(self, other: "FourierJacobiSeries") -> "FourierJacobiSeries":
         return self + (-other)
-
-    def scaled(self, factor) -> "FourierJacobiSeries":
-        factor = Fraction(factor)
-        return FourierJacobiSeries(self.qden, {k: factor * c for k, c in self.terms.items()},
-                                   self.order, self.index)
 
     def __mul__(self, other: "FourierJacobiSeries") -> "FourierJacobiSeries":
         d = lcm(self.qden, other.qden)
@@ -325,18 +320,14 @@ def theta_pm(m: int, r: int, sign: int, order) -> FourierJacobiSeries:
 
 
 def eta_expansion(order) -> FourierJacobiSeries:
-    """Dedekind eta = q^(1/24) prod_{n>0} (1 - q^n), truncated."""
+    """Dedekind eta = q^(1/24) prod_{n>0} (1 - q^n), truncated, in Python ints."""
     order = Fraction(order)
-    kmax = int(order) + 1  # integer exponents k with k + 1/24 < order
-    acc = {0: Fraction(1)}
-    for n in range(1, kmax + 1):
-        out = dict(acc)
-        for k, c in acc.items():
-            k2 = k + n
-            if Fraction(24 * k2 + 1, 24) < order:
-                out[k2] = out.get(k2, Fraction(0)) - c
-        acc = out
-    terms = {(24 * k + 1, 0): c for k, c in acc.items() if Fraction(24 * k + 1, 24) < order}
+    K = max(0, ceil(order - Fraction(1, 24)))  # exponents k + 1/24 < order, k < K
+    coeffs = [1] + [0] * (K - 1) if K else []
+    for n in range(1, K):
+        for k in range(K - 1, n - 1, -1):
+            coeffs[k] -= coeffs[k - n]
+    terms = {(24 * k + 1, 0): Fraction(c) for k, c in enumerate(coeffs)}
     return FourierJacobiSeries(24, terms, order)
 
 

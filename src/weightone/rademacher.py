@@ -8,8 +8,8 @@ series with principal-branch square roots.  No convergence is asserted
 anywhere: the module reports partial sums and Cauchy differences only.
 
 Multipliers are pluggable: any callable mapping an integer matrix to a
-complex matrix works.  The default is the dual theta multiplier, evaluated
-through the exact Weil matrices (with its structural zeros exact) and
+complex matrix works.  The default is the dual theta multiplier, whose local
+Weil matrices are lifted exactly from F_ell (structural zeros stay exact) and
 corrected to the principal branch.
 """
 
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sl2 import Mat, Sl2Word, word_decompose
+from .sl2 import Mat, Sl2Mod, Sl2Word, word_decompose, word_for
 from .weil import get_weil_rep, lift_class, local_spaces
 
 TWO_PI_I = 2j * math.pi
@@ -37,11 +37,11 @@ def _e(x) -> complex:
 class ThetaDualMultiplier:
     """nu(gamma) for the index-m theta vector, on the principal branch.
 
-    The matrix is the transpose of the exact Weil matrix of the canonical
-    word of gamma, with the sign corrected so the branch is the principal
-    sqrt(c tau + d); entries that vanish in the field are exact complex
-    zeros.  Local factors are memoized by their residue data, so sweeps over
-    many representatives stay cheap.
+    The transpose of the Weil matrix of gamma, signed for the principal
+    sqrt(c tau + d).  Local factors are memoized by gamma mod the conductor;
+    a miss lifts the key's canonical word exactly from F_ell, so structural
+    zeros are exact, and as in ``TraceTable`` a D-type entry keeps the lift
+    class of that word to sign the other lift.
     """
 
     def __init__(self, m: int):
@@ -49,45 +49,28 @@ class ThetaDualMultiplier:
         self.spaces = local_spaces(m)
         self.reps = [get_weil_rep(sp) for sp in self.spaces]
         self._memo: list[dict] = [{} for _ in self.spaces]
-        # index maps from Z/2m to the local coordinates
-        n = 2 * m
-        self._coords = []
-        for sp in self.spaces:
-            self._coords.append(np.array([x % sp.size for x in range(n)]))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.m
+        # index grids from (Z/2m)^2 to the local coordinates
+        x = np.arange(2 * m)
+        self._index = [np.ix_(x % sp.size, x % sp.size) for sp in self.spaces]
 
     def _local_matrix(self, i: int, word: Sl2Word) -> np.ndarray:
         sp = self.spaces[i]
         cond = sp.conductor
         a, b, c, d = word.mat()
         key = (a % cond, b % cond, c % cond, d % cond)
-        flip = 1
-        if sp.kind == "D":
-            bit = lift_class(word)
-            stored = self._memo[i].get(key)
-            if stored is None:
-                mat = self.reps[i].evaluate_word(word).to_complex_array()
-                self._memo[i][key] = (bit, mat)
-                return mat
-            bit0, mat = stored
-            flip = bit * bit0
-            return mat if flip == 1 else -mat
-        stored = self._memo[i].get(key)
-        if stored is None:
-            stored = self.reps[i].evaluate_word(word).to_complex_array()
-            self._memo[i][key] = stored
-        return stored
+        entry = self._memo[i].get(key)
+        if entry is None:
+            w0 = word_for(Sl2Mod(cond, *key))
+            mat = self.reps[i].lifted_matrix(w0).to_complex_array()
+            entry = self._memo[i][key] = (lift_class(w0) if sp.kind == "D" else None), mat
+        bit0, mat = entry
+        return mat if bit0 is None or lift_class(word) == bit0 else -mat
 
     def __call__(self, gamma: Mat) -> np.ndarray:
         word = word_decompose(gamma)
-        locs = [self._local_matrix(i, word) for i in range(len(self.spaces))]
-        n = self.dim
-        out = np.ones((n, n), dtype=complex)
-        for loc, coord in zip(locs, self._coords):
-            out = out * loc[np.ix_(coord, coord)]
+        out = np.ones((2 * self.m, 2 * self.m), dtype=complex)
+        for i, index in enumerate(self._index):
+            out = out * self._local_matrix(i, word)[index]
         return word.principal_sign() * out.T
 
 
@@ -160,46 +143,37 @@ def coset_reps(level: int, K: int) -> list[Mat]:
     return out
 
 
+def _term(params: RademacherParams, gamma: Mat, tau: complex) -> np.ndarray:
+    """The summand of one coset representative."""
+    a, b, c, d = gamma
+    alpha = Fraction(-1, 4 * params.index)
+    col = params.multiplier(gamma)[:, 1]
+    phase = cmath.exp(TWO_PI_I * complex(alpha) * (a * tau + b) / (c * tau + d))
+    scale = 1.0 / cmath.sqrt(c * tau + d)
+    return col * phase * scale * kernel_r(alpha, gamma, tau, params.kernel_depth)
+
+
 def truncated_sum(params: RademacherParams, tau: complex) -> np.ndarray:
     """Partial Rademacher sum at tau over the K-truncated coset list."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    m = params.index
-    alpha = Fraction(-1, 4 * m)
-    total = None
-    for gamma in coset_reps(params.level, params.truncation):
-        a, b, c, d = gamma
-        nu = params.multiplier(gamma)
-        if total is None:
-            total = np.zeros(nu.shape[0], dtype=complex)
-        col = nu[:, 1]
-        phase = cmath.exp(TWO_PI_I * complex(alpha) * (a * tau + b) / (c * tau + d))
-        scale = 1.0 / cmath.sqrt(c * tau + d)
-        total = total + col * phase * scale * kernel_r(alpha, gamma, tau, params.kernel_depth)
-    return total
-
-
-def term_vectors(params: RademacherParams, tau: complex):
-    """Yield the per-representative summands (diagnostic view of the sum)."""
-    m = params.index
-    alpha = Fraction(-1, 4 * m)
-    for gamma in coset_reps(params.level, params.truncation):
-        a, b, c, d = gamma
-        nu = params.multiplier(gamma)
-        col = nu[:, 1]
-        phase = cmath.exp(TWO_PI_I * complex(alpha) * (a * tau + b) / (c * tau + d))
-        scale = 1.0 / cmath.sqrt(c * tau + d)
-        yield gamma, col * phase * scale * kernel_r(alpha, gamma, tau, params.kernel_depth)
+    return sum((_term(params, g, tau) for g in coset_reps(params.level, params.truncation)), 0)
 
 
 def cauchy_table(params: RademacherParams, tau: complex, truncations: list[int]) -> list[tuple]:
-    """Rows (K, component, real, imag, cauchy_delta) across a ladder of K values."""
+    """Rows (K, component, real, imag, cauchy_delta) across a ladder of K values.
+
+    The coset lists are nested in K: each term is computed once, and each row
+    adds them in ``truncated_sum`` order, equal to it bit for bit.
+    """
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    level = params.level
+    terms = {g: _term(params, g, tau) for g in coset_reps(level, max(truncations, default=1))}
     rows = []
     prev = None
     for K in truncations:
-        p = RademacherParams(params.level, params.index, params.multiplier,
-                             K, params.kernel_depth)
-        vec = truncated_sum(p, tau)
+        vec = sum((terms[g] for g in coset_reps(level, K)), 0)
         for r, v in enumerate(vec):
             delta = abs(v - prev[r]) if prev is not None else float("nan")
             rows.append((K, r, v.real, v.imag, delta))

@@ -82,9 +82,6 @@ class McKayThompsonTable:
     def row(self, r: int, grade: int) -> tuple[int, ...]:
         return self.rows[(r, grade)]
 
-    def components(self) -> list[int]:
-        return sorted({r for r, _ in self.rows})
-
     def grades(self, r: int) -> list[int]:
         return sorted(d for rr, d in self.rows if rr == r)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import divisors
 
 
@@ -32,26 +34,37 @@ class CriterionOutcome:
     witness: ExponentWitness | None = None
 
 
+_CHUNK = 1 << 13  # values of s per step
+
+
 def exponent_criterion(m: int, aux: int) -> CriterionOutcome:
     """Exhaustive scan of the obstruction congruence; m must divide M.
 
     s ranges over a full period [0, 4M) of the congruence, so the bounded
-    scan is complete.  Returns the lexicographically least witness in
-    (r, s, t) order when one exists.
+    scan is complete.  It runs in chunks of s against every divisor t and
+    every target -r^2 M/m, in O(chunk * |divisors(M)|) memory.  Returns the
+    lexicographically least witness in (r, s, t) order when one exists.
     """
     if m < 1 or aux < 1 or aux % m:
         raise ValueError("need positive m dividing M")
-    mprime = aux // m
     mod = 4 * aux
-    ts = divisors(aux)
-    for r in range(1, m):
-        base = (r * r * mprime) % mod
-        for s in range(mod):
-            ss = (s * s) % mod
-            for t in ts:
-                if (base + ss * t) % mod == 0:
-                    return CriterionOutcome(False, ExponentWitness(r, s, t))
-    return CriterionOutcome(True)
+    # s*s and (s*s % mod) * t stay below 16 M^2; past int64, Python ints
+    dtype = np.int64 if 16 * aux * aux < 1 << 63 else object
+    ts = np.array(divisors(aux), dtype=dtype)
+    witness = None
+    for s0 in range(0, mod, _CHUNK):
+        rs = range(1, m if witness is None else witness.r)  # only a smaller r can win
+        if not rs:
+            break
+        s = np.arange(s0, min(s0 + _CHUNK, mod), dtype=dtype)
+        prod = (s * s % mod)[:, None] * ts % mod
+        for r in rs:
+            hit = np.flatnonzero(prod == (-r * r * (aux // m)) % mod)
+            if hit.size:
+                i, j = divmod(int(hit[0]), len(ts))
+                witness = ExponentWitness(r, s0 + i, int(ts[j]))
+                break
+    return CriterionOutcome(witness is None, witness)
 
 
 def expsapp_suite(a_max: int) -> dict[tuple[int, int], CriterionOutcome]:

@@ -159,11 +159,8 @@ class WeilRep:
             self._modular_s = s.transpose(2, 0, 1).copy()
         return self._modular_s
 
-    def modular_trace_pair(self, word: Sl2Word) -> np.ndarray:
-        """(F, G) of the word under every embedding zeta_L -> omega^u into F_ell.
-
-        Returns shape (2, phi(L)), columns ordered as the field's units.
-        """
+    def modular_matrix(self, word: Sl2Word) -> np.ndarray:
+        """rho(w) under each embedding zeta_L -> omega^u into F_ell, shape (phi(L), n, n)."""
         field = cyc.prime_embeddings(self.order)
         ell, L, n = field.ell, self.order, self.space.size
         s = self.modular_s()
@@ -175,7 +172,27 @@ class WeilRep:
             m = m @ s % ell
             if t:
                 m = m * field.powers[t_res * t % L][:, None, :] % ell
+        return m
+
+    def modular_trace_pair(self, word: Sl2Word) -> np.ndarray:
+        """(F, G) of the word under every embedding, shape (2, phi(L))."""
+        m, x = self.modular_matrix(word), np.arange(self.space.size)
+        ell = cyc.prime_embeddings(self.order).ell
         return np.stack([m[:, x, x].sum(axis=1), m[:, self.minus_perm, x].sum(axis=1)]) % ell
+
+    def lifted_matrix(self, word: Sl2Word) -> ExactCycMatrix:
+        """rho(w) as ``evaluate_word`` gives it, evaluated in F_ell and lifted.
+
+        With k letters S, den^k rho(w) (den = s_mat.den) and |A|^ceil(k/2) rho(w)
+        are algebraic integers whose entries have modulus at most that scale at
+        every complex embedding (rho is unitary), so the smaller scale is
+        certified and lifted; an uncertified ell raises ArithmeticError.
+        """
+        field = cyc.prime_embeddings(self.order)
+        scale = min(self.s_mat.den ** word.s_count, self.space.size ** -(-word.s_count // 2))
+        field.certify(scale)
+        values = self.modular_matrix(word) * (scale % field.ell) % field.ell
+        return ExactCycMatrix(self.order, field.lift(values.transpose(1, 2, 0)), scale)
 
     # -- complex embeddings -----------------------------------------------------
 
@@ -574,9 +591,6 @@ class CharacterHandle:
         if self.kind in ("theta", "theta_plus", "theta_minus", "nu_new"):
             return 4 * self.m
         return self.p ** self.k
-
-    def degree(self) -> CycNumber:
-        return evaluate_character(self, Sl2Word((0,)))
 
 
 def _check_galois(galois: int, conductor: int):

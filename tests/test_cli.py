@@ -124,6 +124,19 @@ def test_exit_code_budget(capsys):
     assert code == 0
 
 
+def test_vanish_and_rademacher_budgets(capsys):
+    # vanish estimates 4M |divisors(M)|: 4 * 8 * 4 = 128 at M = 8
+    assert run(capsys, "--budget", "127", "vanish", "--m", "2", "--M", "8")[0] == 3
+    assert run(capsys, "--budget", "128", "vanish", "--m", "2", "--M", "8")[0] == 0
+    t0 = time.time()
+    assert run(capsys, "vanish", "--m", "2", "--M", str(2 ** 30))[0] == 3
+    # rademacher estimates ceil(K/n) (2K^2 - 1) cosets: 2 * 7 = 14 at n = 1, K = 2
+    assert run(capsys, "--budget", "13", "rademacher", "--n", "1", "--m", "2", "--K", "2")[0] == 3
+    assert run(capsys, "--budget", "14", "rademacher", "--n", "1", "--m", "2", "--K", "2")[0] == 0
+    assert run(capsys, "rademacher", "--n", "1", "--m", "2", "--K", "5000")[0] == 3
+    assert time.time() - t0 < 5
+
+
 def test_exit_code_digest(tmp_path, capsys):
     import importlib.resources as res
     data = res.files("weightone").joinpath("data")

@@ -69,6 +69,13 @@ def test_eta_and_inverse():
     assert all(c == 0 for k, c in one.terms.items() if k != (0, 0))
 
 
+@pytest.mark.parametrize("order", [F(500), F(1, 24), F(25, 24), F(7, 2)])
+def test_eta_product_equals_pentagonal_series(order):
+    # 1/24 and 25/24 sit exactly on a term, which the strict window excludes
+    e, p = eta_expansion(order), eta_pentagonal(order)
+    assert e.order == p.order and e.terms == p.terms
+
+
 def test_invert_requires_monomial_lead():
     s = theta_expansion(1, 0, 3)  # leading q-coefficient has three monomials? no: 1
     # constant term is the single monomial 1, so inversion works

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -7,10 +8,14 @@ from math import gcd
 import numpy as np
 import pytest
 
+from weightone.cli import main
+from weightone.cyclotomic import prime_embeddings
 from weightone.rademacher import (RademacherParams, ThetaDualMultiplier,
                                   cauchy_table, coset_reps, kernel_r,
-                                  term_vectors, truncated_sum,
+                                  truncated_sum,
                                   write_diagnostics_csv)
+from weightone.sl2 import Sl2Word, word_decompose
+from weightone.weil import QuadSpace, get_weil_rep
 
 TAU = 0.13 + 0.82j
 
@@ -69,9 +74,46 @@ def test_multiplier_t_normalization():
         assert np.allclose(ident, np.eye(2 * m))
 
 
+@functools.lru_cache(maxsize=None)
+def _head_matrix(rep, texps):
+    return rep.evaluate_word(Sl2Word(texps)).to_complex_array()
+
+
+def _exact_reference(rep, w):
+    """rep.evaluate_word(w).to_complex_array(), through the word's S-letter prefix.
+
+    Coset words with one first column share that prefix, so it is evaluated
+    once; the trailing T power is a unitary diagonal and keeps exact zeros.
+    """
+    head = _head_matrix(rep, w.texps[:-1] + (0,))
+    return head * np.exp(2j * np.pi * (rep.t_diag * w.texps[-1] % rep.order) / rep.order)
+
+
+@pytest.mark.parametrize("m,level,K", [(9, 3, 20), (6, 1, 6), (16, 1, 6)])
+def test_multiplier_matches_exact_weil_matrix_on_every_coset(m, level, K):
+    nu = ThetaDualMultiplier(m)
+    rep = get_weil_rep(QuadSpace("D", m))
+    for gamma in coset_reps(level, K):
+        w = word_decompose(gamma)
+        direct = w.principal_sign() * _exact_reference(rep, w).T
+        got = nu(gamma)
+        assert np.array_equal(got == 0, direct == 0), gamma
+        assert np.abs(got - direct).max() <= 1e-12, gamma
+
+
+def test_multiplier_refuses_an_uncertified_prime(monkeypatch, capsys):
+    # L_9 is the odd local space of index 9; with ell = 2 no coordinate bound
+    # of a word with an S letter is certified
+    field = prime_embeddings(QuadSpace("L", 9).ambient_order)
+    monkeypatch.setattr(field, "ell", 2)
+    nu = ThetaDualMultiplier(9)
+    with pytest.raises(ArithmeticError):
+        nu((0, -1, 1, 0))
+    assert main(["rademacher", "--n", "3", "--m", "9", "--K", "4"]) == 1
+    assert "ArithmeticError" in capsys.readouterr().err
+
+
 def test_multiplier_matches_direct_weil_matrix():
-    from weightone.sl2 import word_decompose
-    from weightone.weil import QuadSpace, get_weil_rep
     rng = random.Random(3)
     for m in (6, 9):
         nu = ThetaDualMultiplier(m)
@@ -132,9 +174,11 @@ def test_completion_independence():
 
 
 def test_level3_index9_block_vanishing():
+    # each summand is column 1 of the multiplier times nonzero scalars
     params = RademacherParams(level=3, index=9, truncation=6)
-    for gamma, term in term_vectors(params, TAU):
-        assert term[3] == 0 and term[6] == 0, gamma
+    for gamma in coset_reps(3, 6):
+        col = params.multiplier(gamma)[:, 1]
+        assert col[3] == 0 and col[6] == 0, gamma
     vec = truncated_sum(params, TAU)
     for r in (3, 6):
         assert vec[r] == 0
@@ -151,6 +195,16 @@ def test_cauchy_table_and_csv(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "K,component,real,imag,cauchy_delta"
     assert len(text) == 9
+
+
+def test_cauchy_rows_equal_truncated_sum_bit_for_bit():
+    ladder = list(range(1, 9))
+    params = RademacherParams(level=3, index=9, truncation=8)
+    rows = cauchy_table(params, TAU, ladder)
+    for K in ladder:
+        want = truncated_sum(RademacherParams(3, 9, params.multiplier, K), TAU)
+        got = np.array([complex(re, im) for k, _, re, im, _ in rows if k == K])
+        assert np.array_equal(got, want), K
 
 
 def test_params_validation():

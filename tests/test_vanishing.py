@@ -27,6 +27,36 @@ def test_criterion_matches_brute_force():
             assert (out.witness.r, out.witness.s, out.witness.t) == min(sols)
 
 
+def brute_least_witness(m, aux):
+    """The lexicographically least (r, s, t), by a plain triple loop."""
+    mod = 4 * aux
+    ts = [t for t in range(1, aux + 1) if aux % t == 0]
+    for r in range(1, m):
+        for s in range(mod):
+            for t in ts:
+                if (r * r * (aux // m) + s * s * t) % mod == 0:
+                    return (r, s, t)
+    return None
+
+
+def test_criterion_matches_triple_loop_on_a_grid():
+    for m in range(1, 13):
+        for aux in range(m, 241, m):
+            want = brute_least_witness(m, aux)
+            out = exponent_criterion(m, aux)
+            got = None if out.witness is None else (out.witness.r, out.witness.s, out.witness.t)
+            assert out.vanishes == (want is None) and got == want, (m, aux)
+
+
+def test_criterion_past_int64_range():
+    # 16 M^2 >= 2^63, so the scan runs in Python ints; r = 1 has a solution
+    # at s = 33 (none below), which ends the scan in its first chunk
+    m, aux = 5, 1073741845
+    out = exponent_criterion(m, aux)
+    assert (out.witness.r, out.witness.s, out.witness.t) == (1, 33, 19522579)
+    assert out.witness.check(m, aux)
+
+
 def test_known_cases():
     for a in range(1, 7):
         assert exponent_criterion(2, 2**a).vanishes

@@ -282,6 +282,18 @@ def test_lift_certificate_needs_a_prime_above_twice_the_bound(monkeypatch):
     TraceTable(QuadSpace("D", 4))
 
 
+def test_lifted_matrix_equals_the_exact_word():
+    # both scales occur: den^k is the smaller one on L_9, |A|^ceil(k/2) on
+    # D_1 and L_5 once k >= 2
+    local = random.Random(23)
+    for sp in (QuadSpace("D", 1), QuadSpace("L", 5), QuadSpace("L", 9),
+               QuadSpace("D", 4, 3), QuadSpace("D", 6)):
+        rep = get_weil_rep(sp)
+        for _ in range(12):
+            w = Sl2Word(tuple(local.randrange(-5, 6) for _ in range(local.randrange(1, 6))))
+            assert rep.lifted_matrix(w) == rep.evaluate_word(w), (sp, w)
+
+
 def test_trace_against_refuses_int64_overflow():
     # the identity word: the sum of K's diagonal, 3 * 2^62, would wrap
     rep = get_weil_rep(QuadSpace("L", 3))
